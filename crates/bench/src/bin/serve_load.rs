@@ -3,7 +3,7 @@
 //! Starts the daemon in-process on an ephemeral loopback port, trains one
 //! model per tier ({edge, paper}), then drives it:
 //!
-//! * a **closed-loop** burst per tier (peak sustainable throughput —
+//! * a **closed-loop** leg per tier (peak sustainable throughput —
 //!   this leg doubles as the CI smoke run), then
 //! * an **open-loop rate sweep** per tier with Zipf(0.99)-skewed
 //!   template selection, recording p50/p95/p99/p999 latency (measured
@@ -19,16 +19,13 @@
 //!
 //! ```text
 //! serve_load [--queries N] [--requests N] [--rates r1,r2,...]
-//!            [--conns C] [--burst W] [--shards S] [--zipf S]
-//!            [--tiers edge,paper] [--fast-path both|0|1]
-//!            [--cache both|0|1] [--unique both|0|1] [--smoke]
+//!            [--conns C] [--shards S] [--zipf S]
+//!            [--tiers edge,paper] [--unique both|0|1] [--smoke]
 //! ```
 //!
-//! `--smoke` shrinks everything for a seconds-scale CI run.
-//! `--fast-path both` and `--cache both` (the defaults) cross the two
-//! serving-path switches in the same process, so `BENCH_serve.json`
-//! carries same-run before/after rows for both the zero-allocation
-//! request path and the prediction memo. `--unique both` (the default)
+//! `--smoke` shrinks everything for a seconds-scale CI run. Each tier
+//! runs one daemon with the default configuration: one request path
+//! per verb, the prediction memo on. `--unique both` (the default)
 //! keeps the standard legs Zipf-skewed and appends one all-distinct
 //! closed-loop leg per daemon; `1` makes every leg all-distinct, `0`
 //! drops the adversarial leg.
@@ -80,7 +77,6 @@ fn main() {
     let requests: usize =
         get(&flags, "requests", if smoke { "200" } else { "2000" }).parse().unwrap();
     let conns: usize = get(&flags, "conns", "2").parse().unwrap();
-    let burst: usize = get(&flags, "burst", "1").parse().unwrap();
     let shards: usize = get(&flags, "shards", "1").parse().unwrap();
     let zipf_s: f64 = get(&flags, "zipf", "0.99").parse().unwrap();
     let rates: Vec<f64> = get(&flags, "rates", if smoke { "500" } else { "500,1000,2000,4000,8000" })
@@ -92,18 +88,6 @@ fn main() {
             .split(',')
             .map(|t| t.trim().to_string())
             .collect();
-    let fast_legs: Vec<bool> = match get(&flags, "fast-path", "both") {
-        "both" => vec![false, true],
-        "0" => vec![false],
-        "1" => vec![true],
-        other => panic!("bad --fast-path `{other}` (want both|0|1)"),
-    };
-    let cache_legs: Vec<bool> = match get(&flags, "cache", "both") {
-        "both" => vec![false, true],
-        "0" => vec![false],
-        "1" => vec![true],
-        other => panic!("bad --cache `{other}` (want both|0|1)"),
-    };
     // both = standard legs stay Zipf-skewed, one adversarial all-distinct
     // closed-loop leg rides along per daemon; 1 = every leg all-distinct;
     // 0 = no adversarial leg.
@@ -117,7 +101,7 @@ fn main() {
     let ds = Dataset::generate(Workload::TpcH, 100.0, queries, 9);
     let templates: Vec<PlanNode> = ds.plans.iter().map(|p| p.root.clone()).collect();
     println!(
-        "serve_load: {} templates, {} requests/leg, zipf s={zipf_s}, {} conns, burst {burst}, {} shards",
+        "serve_load: {} templates, {} requests/leg, zipf s={zipf_s}, {} conns, {} shards",
         templates.len(),
         requests,
         conns,
@@ -134,100 +118,90 @@ fn main() {
             other => panic!("unknown tier `{other}` (want edge|paper)"),
         };
         let model = fitted_model(&ds, &cfg);
-        for &fast_path in &fast_legs {
-            for &cache in &cache_legs {
-                let serve_cfg =
-                    ServeConfig { shards, burst, fast_path, cache, ..ServeConfig::default() };
-                let mut server =
-                    Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), serve_cfg).unwrap();
-                server.register(&model);
-                let addr = server.local_addr().clone();
-                println!("[{tier}] daemon on {addr} (fast_path={fast_path}, cache={cache})");
+        let serve_cfg = ServeConfig { shards, ..ServeConfig::default() };
+        let mut server =
+            Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), serve_cfg).unwrap();
+        server.register(&model);
+        let addr = server.local_addr().clone();
+        println!("[{tier}] daemon on {addr}");
 
-                std::thread::scope(|scope| {
-                    let server = &server;
-                    scope.spawn(move || server.run().expect("server run failed"));
+        std::thread::scope(|scope| {
+            let server = &server;
+            scope.spawn(move || server.run().expect("server run failed"));
 
-                    let mut ctl = Client::connect(&addr).expect("control connection");
+            let mut ctl = Client::connect(&addr).expect("control connection");
 
-                    let mut legs: Vec<(LoadMode, bool)> = vec![(LoadMode::Closed, unique_all)];
-                    legs.extend(rates.iter().map(|&r| (LoadMode::Open { rate_hz: r }, unique_all)));
-                    if unique_extra {
-                        legs.push((LoadMode::Closed, true));
-                    }
-                    for (mode, unique) in legs {
-                        let spec = LoadSpec {
-                            addr: addr.clone(),
-                            templates: &templates,
-                            mode,
-                            connections: conns,
-                            requests,
-                            zipf_s,
-                            seed: 42,
-                            timeout: Duration::from_secs(2),
-                            unique,
-                        };
-                        // The memo hit rate of *this leg* comes from the
-                        // daemon's stats delta around the run.
-                        let before = ctl.stats().expect("stats verb");
-                        let report = run_load(&spec);
-                        let after = ctl.stats().expect("stats verb");
-                        let dh = after.cache_hits - before.cache_hits;
-                        let dm = after.cache_misses - before.cache_misses;
-                        let hit_rate =
-                            if dh + dm == 0 { 0.0 } else { dh as f64 / (dh + dm) as f64 };
-                        let row =
-                            ServeRow::from_report(tier, &spec, &report, fast_path, cache, hit_rate);
-                        println!(
-                            "[{tier}] fast={} cache={} uniq={} {:>6} target {:>7.0}/s -> {:>7.0}/s \
-                             | hit {:>4.0}% | p50 {:>7}µs p95 {:>7}µs p99 {:>7}µs p999 {:>7}µs \
-                             | sent {} done {} drop {} err {}",
-                            u8::from(fast_path),
-                            u8::from(cache),
-                            u8::from(unique),
-                            row.mode,
-                            row.target_rate_hz,
-                            row.achieved_rate_hz,
-                            row.cache_hit_rate * 100.0,
-                            row.p50_us,
-                            row.p95_us,
-                            row.p99_us,
-                            row.p999_us,
-                            row.sent,
-                            row.completed,
-                            row.dropped,
-                            row.errors
-                        );
-                        if report.completed == 0 || report.hist.is_empty() {
-                            eprintln!("[{tier}] FAILED: empty histogram for {:?}", spec.mode);
-                            failed = true;
-                        }
-                        rows.push(row);
-                    }
-
-                    let stats = ctl.stats().expect("stats verb");
-                    println!(
-                        "[{tier}] server counters: {} conns, {} reqs, {} errors, {} batches \
-                         ({} coalesced), {} fast-path, {} resident, {} steady allocs, \
-                         cache {}/{} hits ({} entries, {} evicted)",
-                        stats.connections,
-                        stats.requests,
-                        stats.errors,
-                        stats.batches,
-                        stats.batched_requests,
-                        stats.fast_path_predicted,
-                        stats.resident_plans,
-                        stats.steady_allocs,
-                        stats.cache_hits,
-                        stats.cache_hits + stats.cache_misses,
-                        stats.cache_entries,
-                        stats.cache_evictions
-                    );
-                    ctl.shutdown().expect("clean shutdown");
-                });
-                println!("[{tier}] daemon stopped cleanly");
+            let mut legs: Vec<(LoadMode, bool)> = vec![(LoadMode::Closed, unique_all)];
+            legs.extend(rates.iter().map(|&r| (LoadMode::Open { rate_hz: r }, unique_all)));
+            if unique_extra {
+                legs.push((LoadMode::Closed, true));
             }
-        }
+            for (mode, unique) in legs {
+                let spec = LoadSpec {
+                    addr: addr.clone(),
+                    templates: &templates,
+                    mode,
+                    connections: conns,
+                    requests,
+                    zipf_s,
+                    seed: 42,
+                    timeout: Duration::from_secs(2),
+                    unique,
+                };
+                // The memo hit rate of *this leg* comes from the
+                // daemon's stats delta around the run.
+                let before = ctl.stats().expect("stats verb");
+                let report = run_load(&spec);
+                let after = ctl.stats().expect("stats verb");
+                let dh = after.cache_hits - before.cache_hits;
+                let dm = after.cache_misses - before.cache_misses;
+                let hit_rate = if dh + dm == 0 { 0.0 } else { dh as f64 / (dh + dm) as f64 };
+                let row = ServeRow::from_report(tier, &spec, &report, hit_rate);
+                println!(
+                    "[{tier}] uniq={} {:>6} target {:>7.0}/s -> {:>7.0}/s \
+                     | hit {:>4.0}% | p50 {:>7}µs p95 {:>7}µs p99 {:>7}µs p999 {:>7}µs \
+                     | sent {} done {} drop {} err {}",
+                    u8::from(unique),
+                    row.mode,
+                    row.target_rate_hz,
+                    row.achieved_rate_hz,
+                    row.cache_hit_rate * 100.0,
+                    row.p50_us,
+                    row.p95_us,
+                    row.p99_us,
+                    row.p999_us,
+                    row.sent,
+                    row.completed,
+                    row.dropped,
+                    row.errors
+                );
+                if report.completed == 0 || report.hist.is_empty() {
+                    eprintln!("[{tier}] FAILED: empty histogram for {:?}", spec.mode);
+                    failed = true;
+                }
+                rows.push(row);
+            }
+
+            let stats = ctl.stats().expect("stats verb");
+            println!(
+                "[{tier}] server counters: {} conns, {} reqs, {} errors, {} general-path \
+                 admit_predicts, {} fast-path, {} resident, {} steady allocs, \
+                 cache {}/{} hits ({} entries, {} evicted)",
+                stats.connections,
+                stats.requests,
+                stats.errors,
+                stats.batches,
+                stats.fast_path_predicted,
+                stats.resident_plans,
+                stats.steady_allocs,
+                stats.cache_hits,
+                stats.cache_hits + stats.cache_misses,
+                stats.cache_entries,
+                stats.cache_evictions
+            );
+            ctl.shutdown().expect("clean shutdown");
+        });
+        println!("[{tier}] daemon stopped cleanly");
     }
 
     qpp_bench::load::write_serve_rows("BENCH_serve.json", &rows);

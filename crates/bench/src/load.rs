@@ -462,14 +462,8 @@ pub struct ServeRow {
     pub p999_us: u64,
     /// Kernel dispatch tier of the serving process.
     pub kernel_tier: String,
-    /// Whether the daemon's zero-allocation fast path was enabled for
-    /// this run (`ServeConfig::fast_path`, burst permitting).
-    pub fast_path: bool,
-    /// Whether the daemon's whole-plan prediction memo was enabled for
-    /// this run (`ServeConfig::cache`).
-    pub cache: bool,
     /// Fraction of the daemon's memo probes that hit *during this run*
-    /// (from the server's stats delta; 0.0 with the memo off).
+    /// (from the server's stats delta).
     pub cache_hit_rate: f64,
     /// Zipf skew the template draw used (0 = uniform).
     pub zipf_s: f64,
@@ -505,8 +499,6 @@ impl ServeRow {
         tier: &str,
         spec: &LoadSpec<'_>,
         report: &LoadReport,
-        fast_path: bool,
-        cache: bool,
         cache_hit_rate: f64,
     ) -> ServeRow {
         let (mode, target_rate_hz) = match spec.mode {
@@ -528,8 +520,6 @@ impl ServeRow {
             p99_us: report.quantile_us(0.99),
             p999_us: report.quantile_us(0.999),
             kernel_tier: qpp_nn::KernelTier::current().name().to_string(),
-            fast_path,
-            cache,
             cache_hit_rate,
             zipf_s: spec.zipf_s,
             unique: spec.unique,

@@ -2,8 +2,8 @@
 //! TCP or unix sockets.
 //!
 //! This module turns the resident serving machinery — [`Tenants`] of
-//! per-model [`ShardedStream`]s with [`MicroBatcher`] coalescing on the
-//! process-wide executor — into an actual network service:
+//! per-model [`ShardedStream`]s on the process-wide executor — into an
+//! actual network service:
 //!
 //! * **Protocol** ([`proto`]): one JSON object per line, versioned
 //!   (`"v":1`), with `admit` / `retire` / `predict` / `admit_predict` /
@@ -20,23 +20,21 @@
 //!   a string-aware nesting-depth pre-scan ([`nesting_depth`]) so deeply
 //!   nested payloads cannot stack-overflow the recursive vendored parser.
 //! * **Server** ([`Server`]): one blocking handler thread per connection
-//!   inside a [`std::thread::scope`]; `admit_predict` requests coalesce
-//!   through a leader/follower queue into one [`MicroBatcher`] flush
-//!   (burst width [`ServeConfig::burst`], leader deadline
-//!   [`ServeConfig::burst_wait_us`]). All stream mutation happens under
-//!   one state lock with [`std::panic::catch_unwind`] backstops, so a
-//!   poisoned run is reported as an `internal` error to the offending
-//!   client while the daemon keeps serving (the PR 3/6 executor contract
-//!   already guarantees the worker pool itself survives panics).
-//! * **Fast path** ([`scratch`], DESIGN.md §13): eligible one-shot
-//!   `admit_predict` lines (when [`ServeConfig::fast_path`] is on and
-//!   `burst <= 1`) parse directly into per-connection scratch CSR
-//!   arrays, run `ShardedStream::predict_oneshot` without touching a
+//!   inside a [`std::thread::scope`], one request path per verb. All
+//!   stream mutation happens under one state lock with
+//!   [`std::panic::catch_unwind`] backstops, so a poisoned run is
+//!   reported as an `internal` error to the offending client while the
+//!   daemon keeps serving (the executor contract already guarantees the
+//!   worker pool itself survives panics). A non-finite prediction is an
+//!   `internal` error too, never a number.
+//! * **Fast path** ([`scratch`], DESIGN.md §13): one-shot
+//!   `admit_predict` lines parse directly into per-connection scratch
+//!   CSR arrays, run `ShardedStream::predict_oneshot` without touching a
 //!   builder, and reply from a reused buffer in one write — zero heap
 //!   allocations per request at steady state (after a per-connection
 //!   warmup window; measured by the `steady_allocs` counter and a
 //!   regression test). Anything the scratch decoder cannot prove
-//!   eligible falls back to the general path, so error replies come
+//!   eligible falls back to the general decoder, so error replies come
 //!   from exactly one code path and stay byte-identical.
 //! * **Why served bits equal in-process bits**: the wavefront kernels
 //!   are row-invariant and [`ShardedStream`] routing is content-hashed
@@ -50,7 +48,6 @@
 //!
 //! [`Tenants`]: crate::model::Tenants
 //! [`ShardedStream`]: crate::stream::ShardedStream
-//! [`MicroBatcher`]: crate::stream::MicroBatcher
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -60,7 +57,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::model::{QppNet, Tenants};
@@ -183,8 +180,8 @@ pub mod proto {
             /// Wire id returned by a prior `admit`.
             id: u64,
         },
-        /// One-shot admit + predict; coalesces with concurrent requests
-        /// into one micro-batched wavefront run.
+        /// One-shot admit + predict; with `keep` false the plan is
+        /// retired again before the reply.
         AdmitPredict {
             /// The plan tree to predict.
             plan: Box<PlanNode>,
@@ -246,10 +243,9 @@ pub mod proto {
         pub retired: u64,
         /// Predictions served.
         pub predicted: u64,
-        /// Micro-batch flushes run.
+        /// `admit_predict` requests run on the general path (one
+        /// resident flush each; fast-path replies are not counted).
         pub batches: u64,
-        /// Requests that went through a micro-batch flush.
-        pub batched_requests: u64,
         /// Registered tenant models.
         pub tenants: u64,
         /// Plans currently resident across all tenants.
@@ -464,7 +460,6 @@ pub mod proto {
             ("retired", Value::Number(s.retired as f64)),
             ("predicted", Value::Number(s.predicted as f64)),
             ("batches", Value::Number(s.batches as f64)),
-            ("batched_requests", Value::Number(s.batched_requests as f64)),
             ("tenants", Value::Number(s.tenants as f64)),
             ("resident_plans", Value::Number(s.resident_plans as f64)),
             ("logical_nodes", Value::Number(s.logical_nodes as f64)),
@@ -508,7 +503,6 @@ pub mod proto {
             retired: stats_field(m, "retired")?,
             predicted: stats_field(m, "predicted")?,
             batches: stats_field(m, "batches")?,
-            batched_requests: stats_field(m, "batched_requests")?,
             tenants: stats_field(m, "tenants")?,
             resident_plans: stats_field(m, "resident_plans")?,
             logical_nodes: stats_field(m, "logical_nodes")?,
@@ -996,62 +990,57 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Worker threads per wavefront run (bits are thread-invariant).
     pub threads: usize,
-    /// Coalescing width: an `admit_predict` flushes as soon as this many
-    /// requests are pending. `1` disables coalescing (flush immediately).
-    pub burst: usize,
-    /// How long a pending `admit_predict` waits for companions before
-    /// its handler flushes the partial batch itself (microseconds).
-    pub burst_wait_us: u64,
     /// Per-line byte cap for the framing layer.
     pub max_line: usize,
     /// Handler read-timeout granularity: how often a blocked handler
     /// wakes to poll the shutdown flag (milliseconds).
     pub poll_ms: u64,
-    /// Serve eligible one-shot `admit_predict` requests over the
-    /// zero-allocation fast path (scratch decode → one-shot run →
-    /// hand-rolled reply, bitwise-equal to the builder path). Only
-    /// engages when `burst <= 1`; micro-batch coalescing takes
-    /// precedence. The default honors the `QPP_SERVE_FAST_PATH` env var
-    /// (`0` disables, anything else — including unset — enables).
-    pub fast_path: bool,
-    /// Serve exact repeats of previously-answered plans from the
-    /// whole-plan prediction memo
-    /// ([`PredictionCache`](crate::stream::PredictionCache)): a lossless
-    /// full-key match, bitwise-equal to a fresh run, on every predict
-    /// surface (fast path, one-shot, micro-batch). The default honors
-    /// the `QPP_SERVE_CACHE` env var (`0` disables, anything else —
-    /// including unset — enables).
-    pub cache: bool,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            shards: 1,
-            threads: 1,
-            burst: 1,
-            burst_wait_us: 200,
-            max_line: MAX_LINE_DEFAULT,
-            poll_ms: 25,
-            fast_path: std::env::var("QPP_SERVE_FAST_PATH").map_or(true, |v| v != "0"),
-            cache: std::env::var("QPP_SERVE_CACHE").map_or(true, |v| v != "0"),
-        }
+        ServeConfig { shards: 1, threads: 1, max_line: MAX_LINE_DEFAULT, poll_ms: 25 }
     }
 }
 
-/// Validates a plan tree's operator arities, the same check
+/// Whether one node's inputs are in the domain the model can answer:
+/// every estimate finite and non-negative, `learned_rows` and
+/// `concurrency` finite. The scratch decoder applies the same check so
+/// an out-of-domain one-shot falls back to [`validate_plan`]'s reply.
+fn node_in_domain(n: &PlanNode) -> bool {
+    let e = &n.est;
+    [e.width, e.rows, e.buffers, e.ios, e.total_cost, e.selectivity]
+        .iter()
+        .all(|v| v.is_finite() && *v >= 0.0)
+        && n.learned_rows.is_none_or(f64::is_finite)
+        && n.concurrency.is_finite()
+}
+
+/// Validates a wire plan before it touches stream state: operator
+/// arities (the check
 /// [`ProgramBuilder::admit`](crate::stream::ProgramBuilder::admit)
-/// enforces by panic. Run on every wire plan before it touches stream
-/// state, so a malformed plan costs one `invalid_plan` reply.
+/// enforces by panic) and the input domain: every `est.*` finite and
+/// non-negative, `learned_rows` and `concurrency` finite. A bad plan
+/// costs one `invalid_plan` reply.
 pub fn validate_plan(plan: &PlanNode) -> Result<(), String> {
     let mut bad = None;
     plan.visit_postorder(&mut |n| {
-        if n.children.len() != n.op.kind().arity() && bad.is_none() {
+        if bad.is_some() {
+            return;
+        }
+        let kind = n.op.kind();
+        if n.children.len() != kind.arity() {
             bad = Some(format!(
-                "{:?} node with {} children (expected {})",
-                n.op.kind(),
+                "{kind:?} node with {} children (expected {})",
                 n.children.len(),
-                n.op.kind().arity()
+                kind.arity()
+            ));
+        } else if !node_in_domain(n) {
+            bad = Some(format!(
+                "{kind:?} node has an estimate out of domain (want finite, \
+                 non-negative est.*; finite learned_rows and concurrency): {:?}, \
+                 learned_rows {:?}, concurrency {}",
+                n.est, n.learned_rows, n.concurrency
             ));
         }
     });
@@ -1082,22 +1071,14 @@ fn write_wire_f64(n: f64, out: &mut Vec<u8>) {
     }
 }
 
-type SlotResult = Result<(Option<u64>, f64), ErrorReply>;
-
-/// Rendezvous cell between an `admit_predict` handler (follower) and
-/// whichever handler runs the coalesced flush (leader).
-#[derive(Debug, Default)]
-struct Slot {
-    done: Mutex<Option<SlotResult>>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct PendingReq {
-    plan: Box<PlanNode>,
-    keep: bool,
-    fp: u64,
-    slot: Arc<Slot>,
+/// The `internal` reply for a prediction the wire cannot carry: the
+/// model produced a non-finite latency (the oracle encoder refuses
+/// those, and a plausible-looking number would be worse).
+fn non_finite(latency_ms: f64) -> Response {
+    Response::Error(ErrorReply::new(
+        ErrorCode::Internal,
+        format!("model produced a non-finite prediction ({latency_ms})"),
+    ))
 }
 
 struct State<'m> {
@@ -1106,7 +1087,6 @@ struct State<'m> {
     /// Wire id → (tenant fingerprint, resident plan id).
     sessions: HashMap<u64, (u64, PlanId)>,
     next_id: u64,
-    pending: Vec<PendingReq>,
     stats: proto::ServeStats,
 }
 
@@ -1169,7 +1149,6 @@ impl<'m> Server<'m> {
                 default_fp: None,
                 sessions: HashMap::new(),
                 next_id: 1,
-                pending: Vec::new(),
                 stats: proto::ServeStats::default(),
             }),
             fast: FastStats::default(),
@@ -1191,9 +1170,6 @@ impl<'m> Server<'m> {
     pub fn register(&mut self, model: &'m QppNet) -> u64 {
         let st = self.state.get_mut().unwrap_or_else(|e| e.into_inner());
         let fp = st.tenants.register(model, self.cfg.shards);
-        if let Some(stream) = st.tenants.stream(fp) {
-            stream.set_prediction_cache(self.cfg.cache);
-        }
         st.default_fp.get_or_insert(fp);
         fp
     }
@@ -1237,9 +1213,6 @@ impl<'m> Server<'m> {
     fn handle(&self, mut conn: Conn) {
         let _ = conn.set_read_timeout(Some(Duration::from_millis(self.cfg.poll_ms)));
         let mut lb = LineBuf::new(self.cfg.max_line);
-        // Coalescing parks handlers on a condvar mid-request; the fast
-        // path only engages when bursts are disabled.
-        let fast = self.cfg.fast_path && self.cfg.burst <= 1;
         let mut scratch = scratch::RequestScratch::new();
         let mut out: Vec<u8> = Vec::with_capacity(256);
         let mut fast_served = 0u64;
@@ -1272,7 +1245,7 @@ impl<'m> Server<'m> {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    if fast && self.try_fast_path(line, &mut scratch, &mut out) {
+                    if self.try_fast_path(line, &mut scratch, &mut out) {
                         if conn.write_all(&out).is_err() {
                             return;
                         }
@@ -1342,8 +1315,7 @@ impl<'m> Server<'m> {
                 return false;
             };
             if !run.latency_ms.is_finite() {
-                // The oracle writer refuses non-finite numbers; let the
-                // slow path reproduce its exact behavior.
+                // The general path owns the `internal` error reply.
                 return false;
             }
             st.stats.requests += 1;
@@ -1464,6 +1436,7 @@ impl<'m> Server<'m> {
         let st = &mut *st;
         let stream = st.tenants.stream(fp).expect("session tenant is registered");
         match catch_unwind(AssertUnwindSafe(|| stream.predict_root_threaded(pid, threads))) {
+            Ok(latency_ms) if !latency_ms.is_finite() => non_finite(latency_ms),
             Ok(latency_ms) => {
                 st.stats.predicted += 1;
                 Response::Predicted { id: Some(id), latency_ms }
@@ -1479,112 +1452,44 @@ impl<'m> Server<'m> {
         if let Err(why) = validate_plan(&plan) {
             return Response::Error(ErrorReply::new(ErrorCode::InvalidPlan, why));
         }
-        let slot = Arc::new(Slot::default());
-        let flush_now = {
-            let mut st = self.lock();
-            let fp = match Self::resolve_fp(&st, tenant) {
-                Ok(fp) => fp,
-                Err(e) => return Response::Error(e),
-            };
-            st.pending.push(PendingReq { plan, keep, fp, slot: Arc::clone(&slot) });
-            st.pending.len() >= self.cfg.burst.max(1)
-        };
-        if flush_now {
-            self.flush_pending();
-        } else {
-            // Follower: give companions burst_wait_us to coalesce, then
-            // lead the flush ourselves if nobody else has.
-            let wait = Duration::from_micros(self.cfg.burst_wait_us);
-            let guard = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-            let (guard, _) = slot
-                .cv
-                .wait_timeout_while(guard, wait, |done| done.is_none())
-                .unwrap_or_else(|e| e.into_inner());
-            let resolved = guard.is_some();
-            drop(guard);
-            if !resolved {
-                self.flush_pending();
-            }
-        }
-        // flush_pending resolves every drained slot before returning (and
-        // runs under the state lock, so a concurrent leader's flush has
-        // finished once ours returns); the slot must be filled now.
-        let guard = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-        match guard.clone() {
-            Some(Ok((id, latency_ms))) => Response::Predicted { id, latency_ms },
-            Some(Err(rep)) => Response::Error(rep),
-            None => Response::Error(ErrorReply::new(
-                ErrorCode::Internal,
-                "coalesced request was never flushed",
-            )),
-        }
-    }
-
-    /// Drains the pending `admit_predict` queue and serves it as one
-    /// micro-batched run per tenant, resolving every slot.
-    fn flush_pending(&self) {
         let mut st = self.lock();
-        let drained = std::mem::take(&mut st.pending);
-        if drained.is_empty() {
-            return;
-        }
-        st.stats.batches += 1;
-        st.stats.batched_requests += drained.len() as u64;
-        // Group requests by tenant, preserving arrival order per tenant.
-        let mut by_fp: Vec<(u64, Vec<&PendingReq>)> = Vec::new();
-        for req in &drained {
-            match by_fp.iter_mut().find(|(fp, _)| *fp == req.fp) {
-                Some((_, group)) => group.push(req),
-                None => by_fp.push((req.fp, vec![req])),
-            }
-        }
+        let fp = match Self::resolve_fp(&st, tenant) {
+            Ok(fp) => fp,
+            Err(e) => return Response::Error(e),
+        };
         let threads = self.cfg.threads;
         let st = &mut *st;
-        for (fp, group) in by_fp {
-            let stream = st.tenants.stream(fp).expect("pending tenant is registered");
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                let mut batcher = MicroBatcher::new();
-                for req in &group {
-                    batcher.submit(&req.plan);
-                }
-                batcher.flush_resident(stream, threads)
-            }));
-            match run {
-                Ok((pids, preds)) => {
-                    for ((req, pid), pred) in group.iter().zip(pids).zip(preds) {
-                        st.stats.admitted += 1;
-                        st.stats.predicted += 1;
-                        let wire = if req.keep {
-                            let wire = st.next_id;
-                            st.next_id += 1;
-                            st.sessions.insert(wire, (fp, pid));
-                            Some(wire)
-                        } else {
-                            // One-shot: retire immediately, same as
-                            // MicroBatcher::flush would.
-                            st.tenants
-                                .stream(fp)
-                                .expect("tenant still registered")
-                                .retire(pid);
-                            st.stats.retired += 1;
-                            None
-                        };
-                        resolve(&req.slot, Ok((wire, pred)));
-                    }
-                }
-                Err(_) => {
-                    for req in &group {
-                        resolve(
-                            &req.slot,
-                            Err(ErrorReply::new(
-                                ErrorCode::Internal,
-                                "micro-batch run panicked; batch rejected",
-                            )),
-                        );
-                    }
-                }
-            }
+        let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
+        st.stats.batches += 1;
+        // A one-plan resident flush: admission, the memo probe/insert and
+        // the run are the micro-batch surface's, so the bits are too.
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            let mut batcher = MicroBatcher::new();
+            batcher.submit(&plan);
+            batcher.flush_resident(stream, threads)
+        }));
+        let Ok((pids, preds)) = run else {
+            return Response::Error(ErrorReply::new(
+                ErrorCode::Internal,
+                "prediction run panicked; plan rejected",
+            ));
+        };
+        let (pid, latency_ms) = (pids[0], preds[0]);
+        st.stats.admitted += 1;
+        if keep && latency_ms.is_finite() {
+            let wire = st.next_id;
+            st.next_id += 1;
+            st.sessions.insert(wire, (fp, pid));
+            st.stats.predicted += 1;
+            return Response::Predicted { id: Some(wire), latency_ms };
         }
+        stream.retire(pid);
+        st.stats.retired += 1;
+        if !latency_ms.is_finite() {
+            return non_finite(latency_ms);
+        }
+        st.stats.predicted += 1;
+        Response::Predicted { id: None, latency_ms }
     }
 
     fn do_stats(&self) -> Response {
@@ -1619,12 +1524,6 @@ impl Drop for Server<'_> {
             let _ = std::fs::remove_file(p);
         }
     }
-}
-
-fn resolve(slot: &Slot, result: SlotResult) {
-    let mut done = slot.done.lock().unwrap_or_else(|e| e.into_inner());
-    *done = Some(result);
-    slot.cv.notify_all();
 }
 
 // --- client ----------------------------------------------------------------

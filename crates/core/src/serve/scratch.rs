@@ -11,14 +11,17 @@
 //!
 //! **Contract — fallback, not error parity.** The fast decoder recognises
 //! exactly one shape: a fully valid, protocol-v1 `admit_predict` request
-//! with `keep` absent or `false` and a plan whose operators all have their
-//! required arity. On that shape it returns [`FastDecode::Ready`] and the
+//! with `keep` absent or `false` and a plan that passes
+//! [`validate_plan`](super::validate_plan) (every operator has its
+//! required arity, every estimate is in the model's input domain). On
+//! that shape it returns [`FastDecode::Ready`] and the
 //! request is *guaranteed* to decode to the same plan (bit-for-bit node
 //! content, identical CSR and shard hash) as the recursive oracle
 //! ([`proto::parse_guarded`](super::proto::parse_guarded) +
 //! `from_value::<PlanNode>`). On *anything* else — malformed JSON, a
-//! different verb, `keep:true`, a bad tenant, an arity violation, nesting
-//! beyond [`super::MAX_NESTING_DEPTH`] — it returns
+//! different verb, `keep:true`, a bad tenant, an arity violation, an
+//! out-of-domain estimate, nesting beyond [`super::MAX_NESTING_DEPTH`] —
+//! it returns
 //! [`FastDecode::Fallback`] and the caller re-runs the oracle path, which
 //! produces byte-exact error replies. The decoder therefore never needs to
 //! replicate error *messages*, but it must replicate the oracle's **accept
@@ -101,8 +104,8 @@ impl RequestScratch {
     ///
     /// Returns [`FastDecode::Ready`] only when the line is a completely
     /// valid v1 `admit_predict` request with `keep` false/absent and a
-    /// plan that passes the arity check; see the module docs for the
-    /// fallback contract.
+    /// plan that passes the arity and input-domain checks; see the module
+    /// docs for the fallback contract.
     pub fn decode(&mut self, line: &str) -> FastDecode {
         self.plan.clear();
         self.kid_stack.clear();
@@ -123,7 +126,7 @@ impl RequestScratch {
         match outcome {
             Ok(Some(tenant)) => {
                 self.plan.seal();
-                if self.plan.arity_ok() {
+                if self.plan.arity_ok() && self.plan.nodes().iter().all(super::node_in_domain) {
                     FastDecode::Ready { tenant }
                 } else {
                     FastDecode::Fallback
@@ -1305,7 +1308,7 @@ mod tests {
     }
 
     /// Request lines: `Ready` must coincide with "oracle decodes an
-    /// eligible one-shot admit_predict whose plan passes the arity check",
+    /// eligible one-shot admit_predict whose plan passes `validate_plan`",
     /// and the decoded plan/tenant must match.
     fn check_line(rs: &mut RequestScratch, line: &str) {
         let fast = rs.decode(line);
@@ -1317,7 +1320,7 @@ mod tests {
             ) => {
                 assert!(!keep, "fast path must never accept keep:true: {line}");
                 assert_eq!(tenant, want_tenant, "tenant diverged on {line}");
-                assert!(super::super::validate_plan(&plan).is_ok(), "arity gate leaked: {line}");
+                assert!(super::super::validate_plan(&plan).is_ok(), "plan gate leaked: {line}");
                 assert_scratch_eq(rs.plan(), &plan, line);
             }
             (FastDecode::Ready { .. }, other) => {
@@ -1513,6 +1516,29 @@ mod tests {
             with_width("1") + "x",
         ] {
             check_doc(&mut rs, &doc);
+        }
+    }
+
+    #[test]
+    fn out_of_domain_estimates_fall_back() {
+        let mut rs = RequestScratch::new();
+        let act = r#"{"rows":1,"latency_ms":1,"self_latency_ms":1}"#;
+        let line = |est_rows: &str, extra: &str| {
+            format!(
+                r#"{{"v":1,"op":"admit_predict","plan":{{"op":"Materialize","est":{{"width":1,"rows":{est_rows},"buffers":0,"ios":0,"total_cost":1,"selectivity":1}},"actual":{act}{extra},"children":[{}]}}}}"#,
+                leaf()
+            )
+        };
+        assert!(matches!(rs.decode(&line("1", "")), FastDecode::Ready { .. }));
+        for bad in [
+            line("1e999", ""),
+            line("-1e999", ""),
+            line("-5", ""),
+            line("1", r#","learned_rows":1e999"#),
+            line("1", r#","concurrency":-1e999"#),
+        ] {
+            assert_eq!(rs.decode(&bad), FastDecode::Fallback, "line: {bad}");
+            check_line(&mut rs, &bad);
         }
     }
 

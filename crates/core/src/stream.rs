@@ -415,7 +415,6 @@ pub struct ProgramBuilder<'m> {
     oneshot: OneshotScratch,
     /// Whole-plan → prediction memo (see [`PredictionCache`]).
     pred_cache: PredictionCache,
-    pred_cache_on: bool,
     /// Reusable whole-plan key words; a warm probe assembles the key
     /// here without touching the allocator.
     key_scratch: Vec<u64>,
@@ -469,7 +468,6 @@ impl<'m> ProgramBuilder<'m> {
             child_scratch: Vec::new(),
             oneshot: OneshotScratch::default(),
             pred_cache: PredictionCache::new(),
-            pred_cache_on: true,
             key_scratch: Vec::new(),
             outputs: Matrix::zeros(0, out_w),
             row_free: Vec::new(),
@@ -711,13 +709,11 @@ impl<'m> ProgramBuilder<'m> {
         // Whole-plan memo probe: an exact repeat of a served plan skips
         // featurize + run entirely. The key lives in reusable scratch,
         // so a warm probe — hit or miss — never allocates.
-        if self.pred_cache_on {
-            let tc = std::time::Instant::now();
-            Self::scratch_key(&mut self.key_scratch, self.caps.is_some(), plan);
-            if let Some(latency_ms) = self.pred_cache.lookup(&self.key_scratch) {
-                self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
-                return OneshotRun { latency_ms, featurize_ns: 0, run_ns: 0, cache_hit: true };
-            }
+        let tc = std::time::Instant::now();
+        Self::scratch_key(&mut self.key_scratch, self.caps.is_some(), plan);
+        if let Some(latency_ms) = self.pred_cache.lookup(&self.key_scratch) {
+            self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
+            return OneshotRun { latency_ms, featurize_ns: 0, run_ns: 0, cache_hit: true };
         }
         let mut sc = std::mem::take(&mut self.oneshot);
 
@@ -772,19 +768,10 @@ impl<'m> ProgramBuilder<'m> {
         let run_ns = t1.elapsed().as_nanos() as u64;
 
         self.oneshot = sc;
-        if self.pred_cache_on {
-            // `key_scratch` still holds this plan's key from the missed
-            // probe above — nothing between there and here touches it.
-            self.pred_cache.insert(&self.key_scratch, latency_ms);
-        }
+        // `key_scratch` still holds this plan's key from the missed probe
+        // above — nothing between there and here touches it.
+        self.pred_cache.insert(&self.key_scratch, latency_ms);
         OneshotRun { latency_ms, featurize_ns, run_ns, cache_hit: false }
-    }
-
-    /// Enables or disables the whole-plan prediction memo (on by
-    /// default). Disabling stops probes and inserts without clearing the
-    /// memo, so re-enabling resumes with the entries already learned.
-    pub fn set_prediction_cache(&mut self, enabled: bool) {
-        self.pred_cache_on = enabled;
     }
 
     /// Caps the prediction memo's entry count (generational reset on
@@ -844,12 +831,8 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Memo probe for a tree-shaped predict request (the micro-batch
-    /// surface). Counts a hit or miss; `None` without counting when the
-    /// memo is disabled.
+    /// surface). Counts a hit or miss.
     fn cache_probe_tree(&mut self, root: &PlanNode) -> Option<f64> {
-        if !self.pred_cache_on {
-            return None;
-        }
         let tc = std::time::Instant::now();
         self.tree_key(root);
         let hit = self.pred_cache.lookup(&self.key_scratch);
@@ -859,13 +842,10 @@ impl<'m> ProgramBuilder<'m> {
         hit
     }
 
-    /// Memoizes a freshly-computed tree prediction (no-op when the memo
-    /// is disabled). Re-assembles the key: between a batch's probes and
-    /// its inserts, other members' probes clobber `key_scratch`.
+    /// Memoizes a freshly-computed tree prediction. Re-assembles the key:
+    /// between a batch's probes and its inserts, other members' probes
+    /// clobber `key_scratch`.
     fn cache_insert_tree(&mut self, root: &PlanNode, latency_ms: f64) {
-        if !self.pred_cache_on {
-            return;
-        }
         self.tree_key(root);
         self.pred_cache.insert(&self.key_scratch, latency_ms);
     }
@@ -1464,14 +1444,6 @@ impl<'m> ShardedStream<'m> {
         self.shards[shard].predict_oneshot(plan)
     }
 
-    /// Enables or disables every shard's whole-plan prediction memo (see
-    /// [`ProgramBuilder::set_prediction_cache`]).
-    pub fn set_prediction_cache(&mut self, enabled: bool) {
-        for s in &mut self.shards {
-            s.set_prediction_cache(enabled);
-        }
-    }
-
     /// Caps every shard's prediction-memo entry count (see
     /// [`PredictionCache`]).
     pub fn set_prediction_cache_capacity(&mut self, max_entries: usize) {
@@ -1721,8 +1693,8 @@ impl<'p> MicroBatcher<'p> {
         self.stats.batches += 1;
         self.stats.requests += self.pending.len() as u64;
         // Admission is unchanged by the memo — resident bookkeeping (ids,
-        // routing, CSE rows) must be identical with the cache on or off.
-        // Only the wavefront run shrinks: members whose whole-plan key is
+        // routing, CSE rows) is what a memo-free flush would leave. Only
+        // the wavefront run shrinks: members whose whole-plan key is
         // memoized take their prediction from the memo and drop out of
         // the coalesced run; the rest run and then seed the memo.
         let ids = stream.admit_batch(&self.pending, threads);
@@ -2253,8 +2225,6 @@ mod tests {
     fn oneshot_memo_hit_matches_fresh_run_bitwise() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut cached = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        let mut uncached = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        uncached.set_prediction_cache(false);
         let mut sp = ScratchPlan::new();
         for p in &ds.plans {
             sp.rebuild_from_tree(&p.root);
@@ -2263,16 +2233,14 @@ mod tests {
             assert!(again.cache_hit, "an exact repeat must hit the memo");
             assert_eq!((again.featurize_ns, again.run_ns), (0, 0));
             assert_eq!(again.latency_ms.to_bits(), first.latency_ms.to_bits());
-            let fresh = uncached.predict_oneshot(&sp);
-            assert!(!fresh.cache_hit, "a disabled memo never reports hits");
-            assert_eq!(again.latency_ms.to_bits(), fresh.latency_ms.to_bits());
+            // The memo-free reference: a fresh compile of this plan alone.
+            let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[p]);
+            assert_eq!(again.latency_ms.to_bits(), fresh[0].to_bits());
         }
         let st = cached.stats();
         assert!(st.pred_cache_hits >= ds.plans.len() as u64);
         assert!(st.pred_cache_entries > 0);
         assert!(st.pred_hit_rate() > 0.0);
-        let off = uncached.stats();
-        assert_eq!((off.pred_cache_hits, off.pred_cache_misses, off.pred_cache_entries), (0, 0, 0));
     }
 
     #[test]
@@ -2302,32 +2270,29 @@ mod tests {
     fn microbatcher_memo_hits_drop_out_of_the_run_bitwise() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut cached = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut uncached = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        uncached.set_prediction_cache(false);
-        let mut front_c = MicroBatcher::new();
-        let mut front_u = MicroBatcher::new();
+        let mut front = MicroBatcher::new();
+        let mut batch: Vec<&Plan> = ds.plans.iter().take(6).collect();
+        // A duplicate *within* one batch: both members probe before either
+        // inserts, so the first round runs both.
+        batch.push(&ds.plans[0]);
+        // The memo-free reference: a fresh compile of each plan alone.
+        let fresh: Vec<f64> = batch
+            .iter()
+            .map(|p| fresh_compile_roots(&fz, &wh, &units, &codec, &[p])[0])
+            .collect();
         for _round in 0..3 {
-            for p in ds.plans.iter().take(6) {
-                front_c.submit(&p.root);
-                front_u.submit(&p.root);
+            for p in &batch {
+                front.submit(&p.root);
             }
-            // A duplicate *within* one batch: both members probe before
-            // either inserts, so the first round runs both (and the
-            // batch's bookkeeping stays identical either way).
-            front_c.submit(&ds.plans[0].root);
-            front_u.submit(&ds.plans[0].root);
-            let a = front_c.flush(&mut cached, 4);
-            let b = front_u.flush(&mut uncached, 4);
-            assert_eq!(bits(&a), bits(&b), "memoized flush drifted from uncached");
+            let got = front.flush(&mut cached, 4);
+            assert_eq!(bits(&got), bits(&fresh), "memoized flush drifted from a fresh compile");
         }
-        assert!(cached.is_empty() && uncached.is_empty());
+        assert!(cached.is_empty());
         assert!(
-            front_c.stats().cache_hits >= 14,
+            front.stats().cache_hits >= 14,
             "rounds 2 and 3 must serve every member from the memo (got {})",
-            front_c.stats().cache_hits
+            front.stats().cache_hits
         );
-        assert_eq!(front_u.stats().cache_hits, 0);
-        assert_eq!(uncached.stats().pred_cache_misses, 0, "disabled memo never probes");
     }
 
     #[test]

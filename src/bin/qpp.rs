@@ -10,7 +10,7 @@
 //! qpp predict    --input plans.json --model model.json --engine program
 //! qpp explain    --dataset dataset.json --query 3
 //! qpp importance --dataset dataset.json --model model.json --top 15
-//! qpp serve      --model model.json --addr 127.0.0.1:7878 --shards 4 --burst 8
+//! qpp serve      --model model.json --addr 127.0.0.1:7878 --shards 4
 //! ```
 //!
 //! `generate` writes an executed workload (plans with EXPLAIN-style
@@ -53,10 +53,12 @@
 //! `serve` turns a fitted snapshot into a long-running prediction daemon
 //! ([`qpp::net::serve`]): resident [`qpp::net::ShardedStream`]s behind a
 //! JSON-lines wire protocol (admit / retire / predict / admit_predict /
-//! stats / shutdown) over TCP or `unix:` sockets, with `--burst W`
-//! micro-batch coalescing of concurrent one-shot predictions and
-//! multi-model tenancy via a comma-separated `--model` list. Drive it
-//! with the `serve_load` bench bin for saturation curves.
+//! stats / shutdown) over TCP or `unix:` sockets, with one request path
+//! per verb and multi-model tenancy via a comma-separated `--model` list.
+//! Drive it with the `serve_load` bench bin for saturation curves.
+//!
+//! Each subcommand accepts only the flags it reads (`accepted_flags`);
+//! any other flag, a typo included, is a usage error.
 
 use qpp::net::config::TrainEngine;
 use qpp::net::{permutation_importance, InferEngine, QppConfig, QppNet};
@@ -70,9 +72,12 @@ fn main() -> ExitCode {
     let Some((cmd, rest)) = args.split_first() else {
         return usage("missing subcommand");
     };
-    let flags = match parse_flags(rest) {
+    let Some(accepted) = accepted_flags(cmd) else {
+        return usage(&format!("unknown subcommand `{cmd}`"));
+    };
+    let flags = match parse_flags(rest, accepted) {
         Ok(f) => f,
-        Err(e) => return usage(&e),
+        Err(e) => return usage(&format!("qpp {cmd}: {e}")),
     };
     let result = match cmd.as_str() {
         "generate" => cmd_generate(&flags),
@@ -83,7 +88,7 @@ fn main() -> ExitCode {
         "importance" => cmd_importance(&flags),
         "serve" => cmd_serve(&flags),
         "serve-stats" => cmd_serve_stats(&flags),
-        other => Err(format!("unknown subcommand `{other}`")),
+        _ => unreachable!("accepted_flags names every subcommand"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -106,20 +111,42 @@ fn usage(error: &str) -> ExitCode {
          qpp explain    --dataset FILE --query N\n\
          qpp importance --dataset FILE --model FILE [--seed N] [--top N]\n\
          qpp serve      --model FILE[,FILE...] [--addr HOST:PORT|unix:PATH]\n\
-                        [--shards N] [--burst W] [--threads N] [--burst-wait-us U]\n\
-                        [--fast-path 0|1] [--cache 0|1]\n\
+                        [--shards N] [--threads N]\n\
          qpp serve-stats [--addr HOST:PORT|unix:PATH]"
     );
     ExitCode::from(2)
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags each subcommand reads, or `None` for an unknown subcommand.
+fn accepted_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "generate" => &["workload", "sf", "queries", "seed", "out", "max-mpl"],
+        "train" => &[
+            "dataset", "out", "seed", "epochs", "batch", "threads", "train-engine", "load-aware",
+        ],
+        "evaluate" => &["dataset", "model", "seed"],
+        "predict" => &[
+            "dataset", "model", "query", "input", "engine", "threads", "repeat", "stream",
+            "shards", "burst",
+        ],
+        "explain" => &["dataset", "query"],
+        "importance" => &["dataset", "model", "seed", "top"],
+        "serve" => &["model", "addr", "shards", "threads"],
+        "serve-stats" => &["addr"],
+        _ => return None,
+    })
+}
+
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got `{}`", args[i]))?;
+        if !accepted.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         let value = args.get(i + 1).ok_or_else(|| format!("--{key} needs a value"))?;
         flags.insert(key.to_string(), value.clone());
         i += 2;
@@ -632,30 +659,13 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     use qpp::net::serve::{ServeAddr, ServeConfig, Server};
 
     let addr = ServeAddr::parse(get_or(flags, "addr", "127.0.0.1:7878"))?;
-    let env_default = ServeConfig::default();
     let cfg = ServeConfig {
         shards: parse(get_or(flags, "shards", "1"), "shard count")?,
         threads: parse(get_or(flags, "threads", "1"), "thread count")?,
-        burst: parse(get_or(flags, "burst", "1"), "burst width")?,
-        burst_wait_us: parse(get_or(flags, "burst-wait-us", "200"), "burst wait")?,
-        // --fast-path overrides the QPP_SERVE_FAST_PATH env default.
-        fast_path: match flags.get("fast-path").map(String::as_str) {
-            None => env_default.fast_path,
-            Some("0") => false,
-            Some("1") => true,
-            Some(other) => return Err(format!("invalid --fast-path: `{other}` (want 0|1)")),
-        },
-        // --cache overrides the QPP_SERVE_CACHE env default.
-        cache: match flags.get("cache").map(String::as_str) {
-            None => env_default.cache,
-            Some("0") => false,
-            Some("1") => true,
-            Some(other) => return Err(format!("invalid --cache: `{other}` (want 0|1)")),
-        },
-        ..env_default
+        ..ServeConfig::default()
     };
-    if cfg.shards == 0 || cfg.threads == 0 || cfg.burst == 0 {
-        return Err("--shards/--threads/--burst must be >= 1".into());
+    if cfg.shards == 0 || cfg.threads == 0 {
+        return Err("--shards/--threads must be >= 1".into());
     }
 
     // One or more fitted model snapshots; the first is the default
@@ -677,23 +687,16 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         println!("tenant {fp:016x} <- {path}");
     }
     println!(
-        "qpp serve: listening on {} ({} shards, {} threads, burst {})",
+        "qpp serve: listening on {} ({} shards, {} threads)",
         server.local_addr(),
         cfg.shards,
-        cfg.threads,
-        cfg.burst
+        cfg.threads
     );
     println!(
-        "kernel tier: {}; fast path: {}; prediction cache: {}",
-        qpp::nn::KernelTier::current(),
-        if cfg.fast_path && cfg.burst <= 1 {
-            "on (zero-allocation one-shot predicts)"
-        } else if cfg.fast_path {
-            "off (burst coalescing takes precedence)"
-        } else {
-            "off"
-        },
-        if cfg.cache { "on (whole-plan memo)" } else { "off" }
+        "kernel tier: {}; one path per verb: one-shot admit_predict takes the \
+         zero-allocation fast path, anything else the general decoder; \
+         whole-plan prediction memo on every predict",
+        qpp::nn::KernelTier::current()
     );
     println!("protocol: one JSON object per line; send {{\"v\":1,\"op\":\"shutdown\"}} to stop");
     server.run().map_err(|e| format!("serve loop failed: {e}"))
@@ -714,8 +717,8 @@ fn cmd_serve_stats(flags: &HashMap<String, String>) -> Result<(), String> {
 
     println!("server:   {} connections, {} requests, {} errors", s.connections, s.requests, s.errors);
     println!(
-        "plans:    {} admitted, {} retired, {} predicted ({} batches / {} batched requests)",
-        s.admitted, s.retired, s.predicted, s.batches, s.batched_requests
+        "plans:    {} admitted, {} retired, {} predicted ({} general-path admit_predicts)",
+        s.admitted, s.retired, s.predicted, s.batches
     );
     println!(
         "resident: {} tenants, {} plans, {} logical nodes, {} shared rows",

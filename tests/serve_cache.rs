@@ -1,21 +1,23 @@
 //! Differential tests for the whole-plan prediction memo
-//! (`qppnet::stream::PredictionCache`): a cache-on daemon must emit
-//! reply lines **byte-identical** to a cache-off daemon for the same
-//! request stream — random admit / retire / predict / admit_predict
-//! interleavings, at 1 and 4 wavefront threads, over TCP loopback and
-//! unix sockets, single- and multi-tenant, clamped and unclamped.
+//! (`qppnet::stream::PredictionCache`): the daemon, whose memo is always
+//! on, must emit reply lines **byte-identical** to
+//! `proto::encode_response` of the in-process, memo-free reference
+//! (`QppNet::predict_batch`, a fresh compiled `PlanProgram` per call) —
+//! random admit / retire / predict / admit_predict interleavings, at 1
+//! and 4 wavefront threads, over TCP loopback and unix sockets, single-
+//! and multi-tenant, clamped and unclamped.
 //!
 //! Why byte-equality is the right bar: a memo hit replays an `f64`
 //! produced by a bitwise-identical earlier run, and the wire encoder
 //! prints shortest-round-trip `f64`s — so any divergence at all means
 //! the memo returned a value a fresh run would not have produced
 //! (a false positive, a stale entry surviving fingerprint rotation, or
-//! id-allocation drift from the cache changing admission bookkeeping).
+//! id-allocation drift from the memo changing admission bookkeeping).
 //!
 //! Also here: the eviction-cap bound (a never-repeating plan stream
 //! cannot grow the memo past its entry cap) and the zero-allocation
 //! regression extended to the hit path (steady-state fast-path load
-//! with the memo ON still allocates nothing — hits included).
+//! still allocates nothing — hits included).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -53,9 +55,13 @@ fn fixture() -> &'static (Dataset, QppNet, QppNet) {
     })
 }
 
+/// Plans the scripts draw from: a small pool, because repeats are what
+/// the memo serves.
+const POOL: usize = 6;
+
 /// A raw line-level client over TCP or unix sockets: writes request
 /// lines verbatim and returns reply lines verbatim, so replies can be
-/// compared byte-for-byte across daemons.
+/// compared byte-for-byte with the reference encoding.
 struct RawClient {
     w: Box<dyn Write>,
     r: BufReader<Box<dyn Read>>,
@@ -89,31 +95,136 @@ impl RawClient {
     }
 }
 
-/// Wire id carried by an `admitted` or kept-`predicted` reply, if any.
-fn reply_id(reply: &str) -> Option<u64> {
-    match proto::decode_response(reply.trim_end()) {
-        Ok(Response::Admitted { id }) => Some(id),
-        Ok(Response::Predicted { id, .. }) => id,
-        _ => None,
+/// The memo-free reference. It mirrors the daemon's session bookkeeping
+/// (wire ids are allocated in sequence from 1) and predicts through the
+/// in-process compiled batch engine, so every request line is paired
+/// with the exact reply bytes it must get before any daemon runs.
+struct Oracle {
+    /// `(fingerprint, [prediction per pool plan])` per tenant model, the
+    /// default tenant first.
+    models: Vec<(u64, Vec<f64>)>,
+    next_id: u64,
+    /// Resident wire id → (model, pool plan).
+    resident: Vec<(u64, usize, usize)>,
+    /// (request line, expected reply line) pairs, in order.
+    script: Vec<(String, String)>,
+}
+
+impl Oracle {
+    fn new(multi_tenant: bool) -> Oracle {
+        let (ds, clamped, unclamped) = fixture();
+        let models = if multi_tenant { vec![clamped, unclamped] } else { vec![clamped] };
+        let models = models
+            .into_iter()
+            .map(|m| {
+                let plans: Vec<&Plan> = ds.plans.iter().take(POOL).collect();
+                (m.fingerprint().expect("fitted"), m.predict_batch(&plans))
+            })
+            .collect();
+        Oracle { models, next_id: 1, resident: Vec::new(), script: Vec::new() }
+    }
+
+    fn push(&mut self, req: Request, resp: Response) {
+        self.script.push((proto::encode_request(&req), proto::encode_response(&resp)));
+    }
+
+    fn plan(pick: usize) -> Box<PlanNode> {
+        Box::new(fixture().0.plans[pick].root.clone())
+    }
+
+    /// The wire `tenant` field naming `model` (`None` = the default).
+    fn tenant(&self, model: usize, explicit: bool) -> Option<u64> {
+        explicit.then_some(self.models[model].0)
+    }
+
+    fn admit(&mut self, model: usize, pick: usize, explicit: bool) {
+        let (id, tenant) = (self.next_id, self.tenant(model, explicit));
+        self.next_id += 1;
+        self.resident.push((id, model, pick));
+        self.push(Request::Admit { plan: Self::plan(pick), tenant }, Response::Admitted { id });
+    }
+
+    fn retire(&mut self, slot: usize) {
+        let (id, _, _) = self.resident.remove(slot);
+        self.push(Request::Retire { id }, Response::Retired { id });
+    }
+
+    fn predict(&mut self, slot: usize) {
+        let (id, model, pick) = self.resident[slot];
+        let latency_ms = self.models[model].1[pick];
+        self.push(Request::Predict { id }, Response::Predicted { id: Some(id), latency_ms });
+    }
+
+    fn admit_predict(&mut self, model: usize, pick: usize, keep: bool, explicit: bool) {
+        let tenant = self.tenant(model, explicit);
+        let id = keep.then(|| {
+            let id = self.next_id;
+            self.next_id += 1;
+            self.resident.push((id, model, pick));
+            id
+        });
+        let latency_ms = self.models[model].1[pick];
+        self.push(
+            Request::AdmitPredict { plan: Self::plan(pick), keep, tenant },
+            Response::Predicted { id, latency_ms },
+        );
     }
 }
 
-/// One leg: drives `lines` (or, when `lines` is `None`, a seeded random
-/// interleaving whose id-carrying ops are resolved against live
-/// replies) through a fresh daemon. Returns the request lines sent, the
-/// reply lines received, and the daemon's final stats.
-fn run_leg(
+/// A seeded random interleaving over the plan pool, then a
+/// deterministic tail (each of three plans twice) that guarantees live
+/// memo hits however the random phase went.
+fn random_script(multi_tenant: bool, seed: u64, ops: usize) -> Vec<(String, String)> {
+    let mut oracle = Oracle::new(multi_tenant);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCACE);
+    for _ in 0..ops {
+        let pick = rng.gen_range(0..POOL);
+        // Route by explicit fingerprint or by default-tenant fallback.
+        let (model, explicit) = match (multi_tenant, rng.gen_range(0..3u32)) {
+            (true, 0) => (0, true),
+            (true, 1) => (1, true),
+            _ => (0, false),
+        };
+        match rng.gen_range(0..8u32) {
+            // Admit into residency (repeats allowed — CSE-heavy).
+            0 | 1 => oracle.admit(model, pick, explicit),
+            2 if !oracle.resident.is_empty() => {
+                let slot = rng.gen_range(0..oracle.resident.len());
+                oracle.retire(slot);
+            }
+            3 if !oracle.resident.is_empty() => {
+                let slot = rng.gen_range(0..oracle.resident.len());
+                oracle.predict(slot);
+            }
+            // Kept one-shot: the general path, through the memo.
+            7 => oracle.admit_predict(model, pick, true, explicit),
+            // One-shot admit_predict — the fast path, the memo's main
+            // surface.
+            _ => oracle.admit_predict(model, pick, false, explicit),
+        }
+    }
+    for pick in 0..3 {
+        for _ in 0..2 {
+            oracle.admit_predict(0, pick, false, multi_tenant);
+        }
+    }
+    oracle.script
+}
+
+/// Sends `script` through a fresh daemon, asserting every reply is the
+/// reference bytes, and returns the daemon's final stats.
+fn serve_script(
     addr: &ServeAddr,
     cfg: ServeConfig,
     multi_tenant: bool,
-    seed: u64,
-    ops: usize,
-    lines: Option<&[String]>,
-) -> (Vec<String>, Vec<String>, proto::ServeStats) {
-    let (ds, clamped_model, unclamped_model) = fixture();
+    script: &[(String, String)],
+) -> proto::ServeStats {
+    let (_, clamped_model, unclamped_model) = fixture();
     let mut server = Server::bind(addr, cfg).expect("bind");
-    let fp_a = server.register(clamped_model);
-    let fp_b = multi_tenant.then(|| server.register(unclamped_model));
+    server.register(clamped_model);
+    if multi_tenant {
+        server.register(unclamped_model);
+    }
     let addr = server.local_addr().clone();
 
     std::thread::scope(|scope| {
@@ -121,142 +232,36 @@ fn run_leg(
         scope.spawn(move || server.run().expect("server run"));
 
         let mut raw = RawClient::connect(&addr);
-        let mut requests: Vec<String> = Vec::new();
-        let mut replies: Vec<String> = Vec::new();
-
-        if let Some(lines) = lines {
-            // Replay leg: the exact byte stream the first leg sent.
-            for line in lines {
-                replies.push(raw.roundtrip(line));
-                requests.push(line.clone());
-            }
-        } else {
-            // Generator leg: a seeded interleaving over a small plan
-            // pool (repeats are the point — they are what the memo
-            // serves). Wire ids for retire/predict come from live
-            // replies; both daemons allocate ids in sequence, so the
-            // replay leg sees the same ids if and only if the memo
-            // leaves admission bookkeeping untouched.
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xCACE);
-            let mut resident: Vec<u64> = Vec::new();
-            let pool = 6usize.min(ds.plans.len());
-            let mut send = |line: String,
-                            requests: &mut Vec<String>,
-                            replies: &mut Vec<String>|
-             -> String {
-                let reply = raw.roundtrip(&line);
-                requests.push(line);
-                replies.push(reply.clone());
-                reply
-            };
-            for _ in 0..ops {
-                let pick = rng.gen_range(0..pool);
-                let plan = Box::new(ds.plans[pick].root.clone());
-                let tenant = match (multi_tenant, rng.gen_range(0..3u32)) {
-                    (true, 0) => Some(fp_a),
-                    (true, 1) => fp_b,
-                    _ => None,
-                };
-                match rng.gen_range(0..8u32) {
-                    // Admit into residency (repeats allowed — CSE-heavy).
-                    0 | 1 => {
-                        let line = proto::encode_request(&Request::Admit { plan, tenant });
-                        let reply = send(line, &mut requests, &mut replies);
-                        resident.push(reply_id(&reply).expect("admit reply id"));
-                    }
-                    // Retire a random resident plan.
-                    2 if !resident.is_empty() => {
-                        let victim = resident.remove(rng.gen_range(0..resident.len()));
-                        let line = proto::encode_request(&Request::Retire { id: victim });
-                        send(line, &mut requests, &mut replies);
-                    }
-                    // Predict a random resident plan.
-                    3 if !resident.is_empty() => {
-                        let id = resident[rng.gen_range(0..resident.len())];
-                        let line = proto::encode_request(&Request::Predict { id });
-                        send(line, &mut requests, &mut replies);
-                    }
-                    // Kept one-shot: admits residency, reply carries id.
-                    7 => {
-                        let line = proto::encode_request(&Request::AdmitPredict {
-                            plan,
-                            keep: true,
-                            tenant,
-                        });
-                        let reply = send(line, &mut requests, &mut replies);
-                        resident.push(reply_id(&reply).expect("kept one-shot id"));
-                    }
-                    // One-shot admit_predict — the memo's main surface.
-                    _ => {
-                        let line = proto::encode_request(&Request::AdmitPredict {
-                            plan,
-                            keep: false,
-                            tenant,
-                        });
-                        send(line, &mut requests, &mut replies);
-                    }
-                }
-            }
-            // Deterministic tail: each of three plans twice, so the
-            // cache-on leg is guaranteed live memo hits regardless of
-            // how the random phase went.
-            for pick in 0..3usize.min(ds.plans.len()) {
-                for _ in 0..2 {
-                    let line = proto::encode_request(&Request::AdmitPredict {
-                        plan: Box::new(ds.plans[pick].root.clone()),
-                        keep: false,
-                        tenant: multi_tenant.then_some(fp_a),
-                    });
-                    send(line, &mut requests, &mut replies);
-                }
-            }
+        for (i, (line, want)) in script.iter().enumerate() {
+            let got = raw.roundtrip(line);
+            assert_eq!(got.trim_end_matches('\n'), want, "reply {i} diverged for request {line}");
         }
 
         let mut ctl = Client::connect(&addr).expect("control");
-        let stats = match ctl.call(&Request::Stats).expect("stats") {
-            Response::Stats(s) => s,
-            other => panic!("wrong stats reply: {other:?}"),
-        };
+        let stats = ctl.stats().expect("stats");
         ctl.shutdown().expect("shutdown");
-        (requests, replies, stats)
+        stats
     })
 }
 
-/// The differential itself: generate the interleaving against a
-/// cache-on daemon, replay the identical byte stream against a
-/// cache-off daemon, and demand byte-identical replies — plus memo
-/// counters that move only on the cache-on side.
-fn cache_on_replies_match_cache_off(
+/// The differential itself: a random interleaving whose replies must
+/// all be the memo-free reference bytes, with the memo counters showing
+/// the memo actually answered.
+fn memo_replies_match_reference(
     mk_addr: &dyn Fn() -> ServeAddr,
-    base: &ServeConfig,
+    cfg: &ServeConfig,
     multi_tenant: bool,
     seed: u64,
     ops: usize,
 ) {
-    let on_cfg = ServeConfig { cache: true, ..base.clone() };
-    let (requests, on_replies, on_stats) =
-        run_leg(&mk_addr(), on_cfg, multi_tenant, seed, ops, None);
-    let off_cfg = ServeConfig { cache: false, ..base.clone() };
-    let (_, off_replies, off_stats) =
-        run_leg(&mk_addr(), off_cfg, multi_tenant, seed, ops, Some(&requests));
-
-    assert_eq!(on_replies.len(), off_replies.len());
-    for (i, (on, off)) in on_replies.iter().zip(&off_replies).enumerate() {
-        assert_eq!(
-            on, off,
-            "seed={seed}: reply {i} diverged under the memo for request {}",
-            requests[i]
-        );
-    }
+    let script = random_script(multi_tenant, seed, ops);
+    let stats = serve_script(&mk_addr(), cfg.clone(), multi_tenant, &script);
     assert!(
-        on_stats.cache_hits >= 3,
+        stats.cache_hits >= 3,
         "seed={seed}: the deterministic tail guarantees memo hits, saw {}",
-        on_stats.cache_hits
+        stats.cache_hits
     );
-    assert!(on_stats.cache_misses > 0, "seed={seed}: first appearances must miss");
-    assert_eq!(off_stats.cache_hits, 0, "disabled memo must not count hits");
-    assert_eq!(off_stats.cache_misses, 0, "disabled memo must not count misses");
-    assert_eq!(off_stats.cache_entries, 0, "disabled memo must not grow");
+    assert!(stats.cache_misses > 0, "seed={seed}: first appearances must miss");
 }
 
 fn tcp() -> ServeAddr {
@@ -266,33 +271,48 @@ fn tcp() -> ServeAddr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random interleavings at 1 thread over TCP, single-tenant, both
-    /// clamp modes (the clamp flag feeds the whole-plan key, so the two
-    /// models must memoize independently even within one proptest case).
+    /// Random interleavings at 1 thread over TCP, single-tenant.
     #[test]
     fn random_interleavings_are_memo_transparent(seed in any::<u64>()) {
         let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
-        cache_on_replies_match_cache_off(&tcp, &cfg, false, seed, 28);
+        memo_replies_match_reference(&tcp, &cfg, false, seed, 28);
     }
 }
 
 /// 4 wavefront threads + 3 shards: the sharded surface routes probes
-/// and inserts per shard; replies must still match cache-off exactly.
+/// and inserts per shard; replies must still be the reference bytes.
 #[test]
 fn t4_sharded_replies_are_memo_transparent() {
     for seed in [11u64, 12] {
         let cfg = ServeConfig { threads: 4, shards: 3, ..ServeConfig::default() };
-        cache_on_replies_match_cache_off(&tcp, &cfg, false, seed, 30);
+        memo_replies_match_reference(&tcp, &cfg, false, seed, 30);
     }
 }
 
-/// Burst coalescing: with `burst > 1` one-shots flow through the
-/// micro-batcher, where memo hits drop out of the wavefront run before
-/// it happens — the surviving run's bits must be unaffected.
+/// Kept `admit_predict` lines (`keep:true`) take the general decoder and
+/// a one-plan resident flush, where a memo hit answers before the
+/// wavefront runs — the replies must still be the reference bytes, and
+/// the admission bookkeeping (the ids) unchanged.
 #[test]
-fn coalesced_batches_are_memo_transparent() {
-    let cfg = ServeConfig { burst: 4, burst_wait_us: 500, ..ServeConfig::default() };
-    cache_on_replies_match_cache_off(&tcp, &cfg, false, 21, 30);
+fn kept_admit_predicts_are_memo_transparent() {
+    let mut oracle = Oracle::new(false);
+    for _round in 0..3 {
+        for pick in 0..4 {
+            oracle.admit_predict(0, pick, true, false);
+        }
+    }
+    while !oracle.resident.is_empty() {
+        oracle.retire(0);
+    }
+    let stats = serve_script(&tcp(), ServeConfig::default(), false, &oracle.script);
+    assert_eq!(stats.fast_path_predicted, 0, "keep:true never takes the fast path");
+    assert_eq!(stats.batches, 12, "one general-path run per kept admit_predict");
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (8, 4),
+        "round 1 misses once per plan, rounds 2 and 3 hit"
+    );
+    assert_eq!(stats.resident_plans, 0);
 }
 
 #[cfg(unix)]
@@ -307,18 +327,18 @@ fn unix_socket_replies_are_memo_transparent() {
         )
     };
     let cfg = ServeConfig { threads: 4, shards: 2, ..ServeConfig::default() };
-    cache_on_replies_match_cache_off(&mk, &cfg, false, 31, 30);
+    memo_replies_match_reference(&mk, &cfg, false, 31, 30);
 }
 
 /// Multi-tenant: two co-hosted models, requests routed by fingerprint
 /// (and by default-tenant fallback). Each tenant's stream owns its own
 /// memo keyed under that model's checkpoint fingerprint, so hits can
-/// never leak predictions across tenants — byte-equality against the
-/// cache-off daemon proves it.
+/// never leak predictions across tenants — byte-equality against each
+/// model's own reference proves it.
 #[test]
 fn multi_tenant_replies_are_memo_transparent() {
     for seed in [41u64, 42] {
-        cache_on_replies_match_cache_off(&tcp, &ServeConfig::default(), true, seed, 30);
+        memo_replies_match_reference(&tcp, &ServeConfig::default(), true, seed, 30);
     }
 }
 
@@ -353,16 +373,15 @@ fn never_repeating_stream_cannot_grow_memo_past_cap() {
 }
 
 /// The zero-allocation regression, extended to the memo hit path: a
-/// warmed connection cycling a fixed 8-plan mix with fast path AND
-/// memo forced on must stay at zero steady-state allocations — and the
+/// warmed connection cycling a fixed 8-plan mix on the fast path must
+/// stay at zero steady-state allocations — and the
 /// stats must show the memo actually served hits, so the alloc-free
 /// claim covers the hit path itself, not just warmed misses.
 #[test]
 fn steady_state_memo_hit_path_is_allocation_free() {
     let (ds, model, _) = fixture();
     for (threads, conns) in [(1usize, 1usize), (4, 4)] {
-        let cfg =
-            ServeConfig { threads, fast_path: true, cache: true, ..ServeConfig::default() };
+        let cfg = ServeConfig { threads, ..ServeConfig::default() };
         let mut server = Server::bind(&tcp(), cfg).expect("bind");
         server.register(model);
         let addr = server.local_addr().clone();
@@ -393,7 +412,7 @@ fn steady_state_memo_hit_path_is_allocation_free() {
             );
             assert_eq!(
                 stats.steady_allocs, 0,
-                "threads={threads} conns={conns}: memo-on steady state allocated"
+                "threads={threads} conns={conns}: memo hit path allocated"
             );
             // The tenant stream (and so its memo) is shared across
             // connections and probed under the server lock: the 8-plan

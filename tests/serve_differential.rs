@@ -2,7 +2,8 @@
 //! predict interleavings driven **through the socket** must produce
 //! predictions **bitwise-equal** to an in-process `ProgramBuilder`
 //! replaying the same sequence — at 1 and 4 wavefront threads, clamped
-//! and unclamped, over TCP loopback and unix sockets.
+//! and unclamped, over TCP loopback and unix sockets, on both request
+//! paths (the one-shot fast path and the general decoder).
 //!
 //! Why bit-equality survives the wire: the incremental/sharded engines
 //! are already bit-transparent against a single builder
@@ -11,7 +12,7 @@
 //! Rust's shortest-round-trip `Display`, which parses back to the exact
 //! bits. So the only thing this suite can catch — and the thing it is
 //! for — is the daemon layer itself (session maps, tenant routing,
-//! micro-batch coalescing) corrupting results.
+//! concurrent handlers) corrupting results.
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -104,20 +105,25 @@ fn served_bits_match_inprocess(
                         "seed={seed} clamped={clamped}: served {served} != local {local}"
                     );
                 }
-                // One-shot admit_predict (keep=false): bits must match
-                // admitting/predicting/retiring on the local builder.
+                // admit_predict: keep=false takes the fast path, keep=true
+                // the general decoder; bits must match admitting and
+                // predicting on the local builder either way.
                 _ => {
                     let pick = rng.gen_range(0..ds.plans.len());
+                    let keep = rng.gen_range(0..4u32) == 0;
                     let plan = &ds.plans[pick].root;
-                    let (kept, served) = client.admit_predict(plan, false).expect("admit_predict");
-                    assert!(kept.is_none(), "keep=false must not return an id");
+                    let (kept, served) = client.admit_predict(plan, keep).expect("admit_predict");
                     let pid = builder.admit(plan);
                     let local = builder.predict_root(pid);
-                    builder.retire(pid);
+                    match kept {
+                        Some(wire) if keep => resident.push((wire, pid)),
+                        None if !keep => builder.retire(pid),
+                        other => panic!("keep={keep} replied with id {other:?}"),
+                    }
                     assert_eq!(
                         served.to_bits(),
                         local.to_bits(),
-                        "seed={seed} clamped={clamped}: one-shot {served} != local {local}"
+                        "seed={seed} clamped={clamped} keep={keep}: {served} != local {local}"
                     );
                 }
             }
@@ -134,26 +140,11 @@ fn served_bits_match_inprocess(
 
 #[test]
 fn tcp_served_bits_match_inprocess_t1() {
-    for seed in [1u64, 2, 3] {
+    for seed in [1u64, 2, 3, 7] {
         for clamped in [false, true] {
             let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
             let addr = ServeAddr::parse("127.0.0.1:0").unwrap();
             served_bits_match_inprocess(&addr, cfg, clamped, seed, 30);
-        }
-    }
-}
-
-/// The fast-path toggle is bit-transparent: the same interleavings with
-/// the zero-allocation fast path forced on and forced off (overriding
-/// whatever `QPP_SERVE_FAST_PATH` says) must both match the in-process
-/// builder bit-for-bit.
-#[test]
-fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
-    for fast_path in [true, false] {
-        for clamped in [false, true] {
-            let cfg = ServeConfig { threads: 1, fast_path, ..ServeConfig::default() };
-            let addr = ServeAddr::parse("127.0.0.1:0").unwrap();
-            served_bits_match_inprocess(&addr, cfg, clamped, 7, 30);
         }
     }
 }
@@ -223,15 +214,16 @@ fn multi_tenant_served_bits_match_each_model() {
     });
 }
 
-/// Concurrent clients under burst coalescing: 4 threads fire one-shot
-/// predictions simultaneously with burst=4, so requests genuinely
-/// coalesce into micro-batched flushes. Coalescing is accuracy-free, so
-/// every reply must carry the same bits as serving that plan alone.
+/// Concurrent clients: 4 threads fire one-shot predictions at once, so
+/// handlers contend for the server lock and interleave on the shared
+/// tenant stream and its memo. Every reply must carry the same bits as
+/// serving that plan alone.
 #[test]
-fn concurrent_burst_coalescing_is_bit_transparent() {
+fn concurrent_clients_are_bit_transparent() {
     let (ds, model, _) = fixture();
-    let cfg = ServeConfig { burst: 4, burst_wait_us: 2_000, ..ServeConfig::default() };
-    let mut server = Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
+    let mut server =
+        Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), ServeConfig::default())
+            .expect("bind");
     server.register(model);
     let addr = server.local_addr().clone();
 
@@ -260,7 +252,7 @@ fn concurrent_burst_coalescing_is_bit_transparent() {
                             let idx = w * 2 + k;
                             let (_, served) = client
                                 .admit_predict(&fixture().0.plans[idx].root, false)
-                                .expect("burst predict");
+                                .expect("concurrent predict");
                             got.push((idx, round, served.to_bits()));
                         }
                     }
@@ -273,21 +265,14 @@ fn concurrent_burst_coalescing_is_bit_transparent() {
             for (idx, round, bits) in h.join().expect("worker") {
                 assert_eq!(
                     bits, reference[idx],
-                    "plan {idx} round {round}: coalesced bits diverged from solo serving"
+                    "plan {idx} round {round}: concurrent bits diverged from solo serving"
                 );
             }
         }
 
         let mut ctl = Client::connect(&addr).expect("control");
         let stats = ctl.stats().expect("stats");
-        assert_eq!(stats.batched_requests, 24, "every one-shot goes through the batcher");
-        assert!(
-            stats.batches < stats.batched_requests,
-            "4 concurrent workers with burst=4 must coalesce at least once \
-             ({} batches for {} requests)",
-            stats.batches,
-            stats.batched_requests
-        );
+        assert_eq!(stats.fast_path_predicted, 24, "every one-shot takes the fast path");
         assert_eq!(stats.resident_plans, 0, "one-shots must not leak residency");
         ctl.shutdown().expect("shutdown");
     });

@@ -1,16 +1,19 @@
 //! Fault injection for the daemon's wire layer: every malformed input —
 //! broken JSON, unknown verbs, oversized lines, numeric ids, bogus
-//! tenants, invalid plans, mid-request disconnects — must produce a
-//! structured error reply (or a clean drop) while the daemon keeps
-//! serving every other client, and a poisoned resident-executor run
-//! must not wedge the accept loop.
+//! tenants, invalid plans, out-of-domain estimates, mid-request
+//! disconnects — must produce a structured error reply (or a clean drop)
+//! while the daemon keeps serving every other client; a prediction the
+//! model cannot answer finitely must be an `internal` error, never a
+//! dead connection; and a poisoned resident-executor run must not wedge
+//! the accept loop.
 
 use std::io::Write;
 use std::sync::OnceLock;
 use std::time::Duration;
 
-use qpp::net::serve::proto;
-use qpp::net::serve::{Client, ClientError, ErrorCode, ServeAddr, ServeConfig, Server};
+use qpp::net::serve::proto::{self, Request};
+use qpp::net::serve::scratch::{FastDecode, RequestScratch};
+use qpp::net::serve::{validate_plan, Client, ClientError, ErrorCode, ServeAddr, ServeConfig, Server};
 use qpp::net::{QppConfig, QppNet};
 use qpp::plansim::operators::Operator;
 use qpp::plansim::plan::PlanNode;
@@ -122,7 +125,7 @@ fn arity_violation_is_rejected_before_touching_the_stream() {
             }
             other => panic!("expected invalid_plan, got {other:?}"),
         }
-        // Same through the coalescing path.
+        // Same through the admit_predict path.
         match client.admit_predict(&malformed, false) {
             Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::InvalidPlan),
             other => panic!("expected invalid_plan via admit_predict, got {other:?}"),
@@ -230,5 +233,134 @@ fn blank_lines_are_tolerated() {
             qpp::net::serve::Response::Stats(_) => {}
             other => panic!("expected stats, got {other:?}"),
         }
+    });
+}
+
+/// Out-of-domain estimates are rejected at the wire: `1e999` parses as
+/// +inf, `-1e999` as -inf, and `-5` is finite but not a row count. Each
+/// gets `invalid_plan` on every plan-carrying verb — the one-shot
+/// included, so the scratch decoder must fall back to the one error
+/// path — and nothing becomes resident.
+#[test]
+fn out_of_domain_estimates_are_invalid_plan() {
+    let (ds, _) = fixture();
+    // A sentinel only the root's `est.rows` carries, spliced textually:
+    // the encoder cannot write a non-finite number.
+    let mut plan = ds.plans[0].root.clone();
+    plan.est.rows = 12345.5;
+    let plan = Box::new(plan);
+    let lines = [
+        proto::encode_request(&Request::Admit { plan: plan.clone(), tenant: None }),
+        proto::encode_request(&Request::AdmitPredict { plan: plan.clone(), keep: false, tenant: None }),
+        proto::encode_request(&Request::AdmitPredict { plan, keep: true, tenant: None }),
+    ];
+    with_server(ServeConfig::default(), |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        for bad in ["1e999", "-1e999", "-5"] {
+            for line in &lines {
+                assert_eq!(line.matches("12345.5").count(), 1);
+                let line = line.replace("12345.5", bad);
+                if line.contains("admit_predict") && !line.contains("\"keep\":true") {
+                    assert_eq!(RequestScratch::new().decode(&line), FastDecode::Fallback);
+                }
+                expect_error(&mut client, &line, ErrorCode::InvalidPlan);
+            }
+        }
+        let (_, latency) = client.admit_predict(&ds.plans[0].root, false).expect("still serving");
+        assert!(latency.is_finite());
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.resident_plans, 0, "a rejected plan must not become resident");
+        assert_eq!(stats.errors, 9);
+    });
+}
+
+/// Every plan the workload generators produce — both benchmarks, small
+/// and large scale factors, concurrent runs, learned cardinalities —
+/// is in the domain the wire accepts, and its one-shot line takes the
+/// fast path. Validation must never turn real traffic into errors.
+#[test]
+fn generated_workload_plans_pass_validation() {
+    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+    let mut scratch = RequestScratch::new();
+    for workload in [Workload::TpcH, Workload::TpcDs] {
+        for mut ds in [
+            Dataset::generate(workload, 1.0, 120, 3),
+            Dataset::generate(workload, 100.0, 120, 4),
+            Dataset::generate_concurrent(workload, 10.0, 60, 5, 8),
+        ] {
+            for plan in &mut ds.plans {
+                for learned in [false, true] {
+                    if learned {
+                        qpp::plansim::cardest::inject_learned_cardinalities(
+                            &mut plan.root,
+                            0.5,
+                            &mut rng,
+                        );
+                    }
+                    let root = Box::new(plan.root.clone());
+                    assert_eq!(validate_plan(&root), Ok(()), "{}", plan.signature());
+                    let line = proto::encode_request(&Request::AdmitPredict {
+                        plan: root,
+                        keep: false,
+                        tenant: None,
+                    });
+                    assert!(
+                        matches!(scratch.decode(&line), FastDecode::Ready { .. }),
+                        "generated plan fell off the fast path: {}",
+                        plan.signature()
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// A plan whose estimates are finite but so large that the model's
+/// prediction overflows: the prediction cannot cross the wire, so every
+/// verb that would carry it answers `internal` — counted in `errors` —
+/// and the connection, the other clients and `Server::run` survive. A
+/// one-shot leaves nothing resident; a resident plan stays resident.
+#[test]
+fn non_finite_prediction_is_an_internal_error() {
+    let (ds, model) = fixture();
+    with_server(ServeConfig::default(), |addr| {
+        let mut client = Client::connect(addr).expect("connect");
+        client.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut errors = 0;
+        for huge in [1e15, 1e30, 1e300] {
+            let mut plan = ds.plans[0].clone();
+            plan.root.visit_postorder_mut(&mut |n| {
+                n.est.rows = huge;
+                n.est.total_cost = huge;
+                n.est.buffers = huge;
+                n.est.ios = huge;
+            });
+            assert_eq!(validate_plan(&plan.root), Ok(()), "finite estimates are in domain");
+            assert!(
+                !model.predict(&plan).is_finite(),
+                "the fixture must overflow at est={huge:e}"
+            );
+            for keep in [false, true] {
+                match client.admit_predict(&plan.root, keep) {
+                    Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Internal),
+                    other => panic!("keep={keep} est={huge:e}: expected internal, got {other:?}"),
+                }
+                errors += 1;
+            }
+            let id = client.admit(&plan.root).expect("admission does not predict");
+            match client.predict(id) {
+                Err(ClientError::Server(e)) => assert_eq!(e.code, ErrorCode::Internal),
+                other => panic!("predict est={huge:e}: expected internal, got {other:?}"),
+            }
+            errors += 1;
+            client.retire(id).expect("the plan stayed resident");
+        }
+        // The same connection still serves.
+        let (_, latency) = client.admit_predict(&ds.plans[1].root, false).expect("still serving");
+        assert!(latency.is_finite());
+        let stats = client.stats().expect("stats");
+        assert_eq!(stats.errors, errors);
+        assert_eq!(stats.resident_plans, 0, "a non-finite one-shot must not stay resident");
     });
 }

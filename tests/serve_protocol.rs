@@ -100,7 +100,7 @@ proptest! {
         let stats = ServeStats {
             connections: a, requests: b, errors: c,
             admitted: d, retired: e, predicted: f,
-            batches: a % 1000, batched_requests: b % 1000, tenants: c % 16,
+            batches: a % 1000, tenants: c % 16,
             resident_plans: d % 10_000, logical_nodes: e % 100_000, shared_rows: f % 100_000,
             fast_path_predicted: f % 100_000, parse_ns: a, featurize_ns: b,
             run_ns: c, serialize_ns: d, steady_allocs: e % 1000,

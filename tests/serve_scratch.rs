@@ -1,8 +1,8 @@
 //! End-to-end tests for the serve fast path: the scratch request
 //! decoder must agree with the oracle decoder (vendored parser +
-//! serde-derive semantics) on random mutated wire lines, fast-path-on
-//! and fast-path-off servers must emit **byte-identical** reply lines
-//! for the same request stream, and a warmed connection must serve
+//! serde-derive semantics) on random mutated wire lines, every reply
+//! must be **byte-identical** to the oracle encoder's reply for the
+//! in-process prediction, and a warmed connection must serve
 //! sustained one-shot predict load with **zero heap allocations**
 //! (`ServeStats::steady_allocs`), at 1 and 4 wavefront threads.
 //!
@@ -17,9 +17,9 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use proptest::prelude::*;
-use qpp::net::serve::proto::{self, Request};
+use qpp::net::serve::proto::{self, ErrorReply, Request, Response};
 use qpp::net::serve::scratch::{FastDecode, RequestScratch};
-use qpp::net::serve::{validate_plan, Client, ServeAddr, ServeConfig, Server};
+use qpp::net::serve::{validate_plan, Client, ErrorCode, ServeAddr, ServeConfig, Server};
 use qpp::net::{QppConfig, QppNet, ScratchPlan};
 use qpp::plansim::prelude::*;
 
@@ -208,40 +208,46 @@ fn with_server<T>(cfg: ServeConfig, body: impl FnOnce(&ServeAddr) -> T) -> T {
     })
 }
 
-/// The same request stream — eligible one-shots, ineligible verbs, and
-/// malformed hostile lines — against a fast-path server and a
-/// slow-path server must produce **byte-identical** reply lines, and
-/// only the fast server's `fast_path_predicted` may move.
+/// Every request flavor the fast path gates on — eligible one-shots,
+/// ineligible verbs, and malformed hostile lines — must get the oracle
+/// encoder's reply byte for byte: the in-process `QppNet::predict_batch`
+/// prediction for a served plan, the oracle decoder's error otherwise.
+/// Only the eligible one-shots may move `fast_path_predicted`.
 #[test]
 fn fast_path_replies_are_byte_identical_to_slow_path() {
     let (ds, model) = fixture();
     let fp = model.fingerprint().expect("fitted model has a fingerprint");
+    let predicted = |k: usize, id: Option<u64>| Response::Predicted {
+        id,
+        latency_ms: model.predict(&ds.plans[k]),
+    };
 
-    // Request stream: every flavor the fast path gates on.
-    let mut lines: Vec<String> = Vec::new();
+    // (request line, expected reply) for every flavor.
+    let mut script: Vec<(String, Response)> = Vec::new();
     for (i, plan) in ds.plans.iter().take(6).enumerate() {
         let tenant = if i % 2 == 0 { Some(fp) } else { None };
-        lines.push(proto::encode_request(&Request::AdmitPredict {
-            plan: Box::new(plan.root.clone()),
-            keep: false,
-            tenant,
-        }));
+        let req = Request::AdmitPredict { plan: Box::new(plan.root.clone()), keep: false, tenant };
+        script.push((proto::encode_request(&req), predicted(i, None)));
     }
-    // Ineligible but valid: keep=true (admits residency — replies carry
-    // ids, identical because both servers allocate ids in sequence).
-    lines.push(proto::encode_request(&Request::AdmitPredict {
-        plan: Box::new(ds.plans[0].root.clone()),
-        keep: true,
-        tenant: None,
-    }));
-    // Unknown tenant: fast path must fall back to the oracle's exact
-    // error reply.
-    lines.push(proto::encode_request(&Request::AdmitPredict {
+    // Ineligible but valid: keep=true (admits residency; the reply
+    // carries the first wire id).
+    let req =
+        Request::AdmitPredict { plan: Box::new(ds.plans[0].root.clone()), keep: true, tenant: None };
+    script.push((proto::encode_request(&req), predicted(0, Some(1))));
+    // Unknown tenant: the fast path must fall back to the general
+    // path's error reply.
+    let req = Request::AdmitPredict {
         plan: Box::new(ds.plans[1].root.clone()),
         keep: false,
         tenant: Some(fp ^ 1),
-    }));
-    // Hostile / malformed lines: error replies must match byte-for-byte.
+    };
+    let unknown = ErrorReply::new(
+        ErrorCode::UnknownTenant,
+        format!("no tenant with fingerprint {:016x}", fp ^ 1),
+    );
+    script.push((proto::encode_request(&req), Response::Error(unknown)));
+    // Hostile / malformed lines: the oracle decoder's error (or, for a
+    // plan that decodes but fails validation, `validate_plan`'s).
     for bad in [
         r#"{"v":1,"op":"admit_predict"}"#,
         r#"{"v":2,"op":"admit_predict","plan":null}"#,
@@ -251,26 +257,29 @@ fn fast_path_replies_are_byte_identical_to_slow_path() {
         "not json at all",
         r#"{"v":1,"op":"admit_predict","plan":[1,2],"keep":false}"#,
     ] {
-        lines.push(bad.to_string());
+        let err = match proto::decode_request(bad) {
+            Err(e) => e,
+            Ok(Request::AdmitPredict { plan, .. }) => {
+                ErrorReply::new(ErrorCode::InvalidPlan, validate_plan(&plan).unwrap_err())
+            }
+            Ok(other) => panic!("hostile line decoded to {other:?}: {bad}"),
+        };
+        script.push((bad.to_string(), Response::Error(err)));
     }
 
-    let run = |fast_path: bool| -> (Vec<String>, u64) {
-        let cfg = ServeConfig { fast_path, ..ServeConfig::default() };
-        with_server(cfg, |addr| {
-            let mut raw = RawClient::connect(addr);
-            let replies: Vec<String> = lines.iter().map(|l| raw.roundtrip(l)).collect();
-            let mut ctl = Client::connect(addr).expect("control");
-            let stats = ctl.stats().expect("stats");
-            (replies, stats.fast_path_predicted)
-        })
-    };
-
-    let (fast_replies, fast_count) = run(true);
-    let (slow_replies, slow_count) = run(false);
-    for (i, (f, s)) in fast_replies.iter().zip(&slow_replies).enumerate() {
-        assert_eq!(f, s, "reply {i} diverged for request {}", lines[i]);
-    }
-    assert_eq!(slow_count, 0, "fast_path disabled must never take the fast path");
+    let fast_count = with_server(ServeConfig::default(), |addr| {
+        let mut raw = RawClient::connect(addr);
+        for (line, want) in &script {
+            let got = raw.roundtrip(line);
+            assert_eq!(
+                got.trim_end_matches('\n'),
+                proto::encode_response(want),
+                "reply diverged for request {line}"
+            );
+        }
+        let mut ctl = Client::connect(addr).expect("control");
+        ctl.stats().expect("stats").fast_path_predicted
+    });
     assert_eq!(fast_count, 6, "every eligible one-shot must take the fast path");
 }
 
@@ -282,9 +291,7 @@ fn fast_path_replies_are_byte_identical_to_slow_path() {
 #[test]
 fn steady_state_fast_path_is_allocation_free() {
     for (threads, conns) in [(1usize, 1usize), (4, 4)] {
-        // Forced on: this test is about the fast path itself, so it must
-        // not flip off under the CI `QPP_SERVE_FAST_PATH=0` leg.
-        let cfg = ServeConfig { threads, fast_path: true, ..ServeConfig::default() };
+        let cfg = ServeConfig { threads, ..ServeConfig::default() };
         with_server(cfg, |addr| {
             std::thread::scope(|scope| {
                 for c in 0..conns {
