@@ -149,6 +149,57 @@ fn tcp_served_bits_match_inprocess_t1() {
     }
 }
 
+/// Both request paths for the same plans: `keep:false` forces the
+/// one-shot fast path on, `keep:true` forces it off (the general
+/// decoder and a resident flush). Each reply must carry the bits of
+/// serving that plan alone in-process, and the stats must show which
+/// path ran.
+#[test]
+fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
+    let (ds, clamped_model, unclamped_model) = fixture();
+    for model in [clamped_model, unclamped_model] {
+        let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
+        let mut server =
+            Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
+        server.register(model);
+        let addr = server.local_addr().clone();
+
+        std::thread::scope(|scope| {
+            let server = &server;
+            scope.spawn(move || server.run().expect("server run"));
+
+            let mut client = Client::connect(&addr).expect("connect");
+            client.set_timeout(Some(Duration::from_secs(30))).unwrap();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+            let picks: Vec<usize> = (0..8).map(|_| rng.gen_range(0..ds.plans.len())).collect();
+
+            let mut kept = Vec::new();
+            for &pick in &picks {
+                let plan = &ds.plans[pick].root;
+                let mut solo = model.serve_stream();
+                let pid = solo.admit(plan);
+                let local = solo.predict_root(pid).to_bits();
+
+                let (id, fast) = client.admit_predict(plan, false).expect("fast path on");
+                assert_eq!(id, None, "keep=false must not keep the plan");
+                let (id, slow) = client.admit_predict(plan, true).expect("fast path off");
+                kept.push(id.expect("keep=true replies with an id"));
+                assert_eq!(fast.to_bits(), local, "plan {pick}: fast path {fast} != local");
+                assert_eq!(slow.to_bits(), local, "plan {pick}: general path {slow} != local");
+            }
+
+            let stats = client.stats().expect("stats");
+            assert_eq!(stats.fast_path_predicted, picks.len() as u64, "keep=false is fast");
+            assert_eq!(stats.batches, picks.len() as u64, "keep=true is general");
+            assert_eq!(stats.errors, 0);
+            for id in kept {
+                client.retire(id).expect("retire");
+            }
+            client.shutdown().expect("shutdown");
+        });
+    }
+}
+
 #[test]
 fn tcp_served_bits_match_inprocess_t4_sharded() {
     // 4 wavefront threads + 3 shards: the full concurrent configuration
