@@ -1,10 +1,17 @@
-//! Criterion micro-benchmarks for the `qpp-nn` matrix kernels that dominate
-//! training time: forward matmul (`X·W`), input gradient (`dZ·Wᵀ`) and
-//! weight gradient (`Xᵀ·dZ`), at the paper's layer shape (128×128) across
-//! batch sizes.
+//! Criterion micro-benchmarks for the gemm kernels that every serving and
+//! wavefront-training step runs — the packed-panel kernels of `qpp_nn` —
+//! at the paper's layer shape (128×128) across batch sizes:
+//!
+//! * forward `X·W + b` (`PackedWeights::gemm_into` with a bias);
+//! * input gradient `dZ·Wᵀ` (`PackedDense::backward_input_into`);
+//! * weight gradient `dW += Xᵀ·dZ` (`PackedWeights::accumulate_at_b`).
+//!
+//! Each runs the body of the process kernel tier (printed first;
+//! `QPP_NN_FORCE_TIER` lowers it). The join-unit input assembly and
+//! gradient split (`hcat` / `slice_cols`) are timed as well.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qpp_nn::Matrix;
+use qpp_nn::{Activation, Dense, Init, KernelTier, Matrix, PackedBias, PackedDense, PackedWeights};
 use rand::{Rng, SeedableRng};
 
 fn rand_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
@@ -12,25 +19,40 @@ fn rand_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
 }
 
 fn bench_kernels(c: &mut Criterion) {
+    println!("kernel tier: {}", KernelTier::current());
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let mut group = c.benchmark_group("matrix_kernels_128x128");
+    let mut layer = Dense::new(128, 128, Activation::Relu, Init::He, &mut rng);
+    for b in &mut layer.b {
+        *b = rng.gen_range(-0.5..0.5);
+    }
+    let w = PackedWeights::pack(&layer.w);
+    let bias = PackedBias::pack(&layer.b);
+    let dense = PackedDense::pack(&layer, true);
+    let mut group = c.benchmark_group("packed_kernels_128x128");
     for &batch in &[1usize, 16, 64, 256] {
         let x = rand_matrix(batch, 128, &mut rng);
-        let w = rand_matrix(128, 128, &mut rng);
         let dz = rand_matrix(batch, 128, &mut rng);
 
-        group.bench_with_input(BenchmarkId::new("forward_xw", batch), &batch, |b, _| {
-            b.iter(|| std::hint::black_box(x.matmul(&w)))
-        });
-        group.bench_with_input(BenchmarkId::new("input_grad_a_bt", batch), &batch, |b, _| {
-            b.iter(|| std::hint::black_box(dz.matmul_a_bt(&w)))
-        });
-        group.bench_with_input(BenchmarkId::new("weight_grad_at_b", batch), &batch, |b, _| {
-            let mut out = Matrix::zeros(128, 128);
+        group.bench_with_input(BenchmarkId::new("forward_xw_bias", batch), &batch, |b, _| {
+            let mut out = Matrix::zeros(batch, 128);
             b.iter(|| {
-                out.fill_zero();
-                x.matmul_at_b_into(&dz, &mut out);
-                std::hint::black_box(out.norm())
+                w.gemm_into(&x, Some(&bias), &mut out);
+                std::hint::black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("input_grad_dz_wt", batch), &batch, |b, _| {
+            let mut out = Matrix::zeros(batch, 128);
+            b.iter(|| {
+                dense.backward_input_into(&dz, &mut out);
+                std::hint::black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("weight_grad_xt_dz", batch), &batch, |b, _| {
+            let mut acc = PackedWeights::zeros(128, 128);
+            b.iter(|| {
+                acc.fill_zero();
+                acc.accumulate_at_b(&x, &dz);
+                std::hint::black_box(&acc);
             })
         });
     }

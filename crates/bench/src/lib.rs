@@ -216,9 +216,10 @@ pub fn fmt_minutes(ms: f64) -> String {
 
 /// Machine-readable benchmark artifacts (`BENCH_infer.json` /
 /// `BENCH_train.json`): the criterion bench mains convert the vendored
-/// harness's measurement records into [`bench_json::BenchRow`]s and persist them, so
-/// the perf trajectory is recorded as data across PRs instead of living
-/// only in README tables.
+/// harness's measurement records into [`bench_json::BenchRow`]s and
+/// persist them, so the perf trajectory is recorded as data across PRs
+/// instead of living only in README tables. [`bench_json::write`] also
+/// writes the load harness's `BENCH_serve.json` rows.
 pub mod bench_json {
     use serde::Serialize;
 
@@ -263,17 +264,19 @@ pub mod bench_json {
 
     /// Writes the rows as a JSON array, one object per line (so the
     /// committed artifact diffs row-by-row across PRs). Bare file names
-    /// are anchored at the workspace root — `cargo bench` runs with the
-    /// package directory as cwd, and the artifact belongs next to
-    /// README's tables, not inside `crates/bench/`.
+    /// are anchored at the [`workspace_root`](crate::workspace_root) of
+    /// the current directory — `cargo bench` runs with the package
+    /// directory as cwd, and the artifact belongs next to README's
+    /// tables, not inside `crates/bench/`.
     ///
     /// # Panics
-    /// Panics if the file cannot be written — a bench artifact silently
-    /// missing is worse than a failed bench run.
-    pub fn write(file_name: &str, rows: &[BenchRow]) {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join(file_name);
+    /// Panics if no workspace root is found or the file cannot be
+    /// written — a bench artifact silently missing is worse than a
+    /// failed bench run.
+    pub fn write<T: Serialize>(file_name: &str, rows: &[T]) {
+        let root = crate::workspace_root()
+            .expect("no Cargo.toml with a [workspace] table above the current directory");
+        let path = root.join(file_name);
         let mut json = String::from("[\n");
         for (i, row) in rows.iter().enumerate() {
             json.push_str("  ");
@@ -288,6 +291,27 @@ pub mod bench_json {
             .unwrap_or_else(|e| panic!("cannot write bench artifact {}: {e}", path.display()));
         println!("wrote {} rows to {}", rows.len(), path.display());
     }
+}
+
+/// The workspace root of the current directory: the nearest ancestor
+/// (the directory itself included) whose `Cargo.toml` has a
+/// `[workspace]` table, or `None` outside any workspace. Resolved at run
+/// time, so a bench binary built in one tree and run from a copy writes
+/// its artifacts into, and stamps the commit of, the copy.
+pub fn workspace_root() -> Option<std::path::PathBuf> {
+    find_workspace_root(&std::env::current_dir().ok()?)
+}
+
+/// [`workspace_root`] starting from `start` instead of the current
+/// directory.
+fn find_workspace_root(start: &std::path::Path) -> Option<std::path::PathBuf> {
+    start
+        .ancestors()
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|toml| toml.lines().any(|l| l.trim() == "[workspace]"))
+        })
+        .map(std::path::Path::to_path_buf)
 }
 
 #[cfg(test)]
@@ -312,6 +336,38 @@ mod tests {
             assert_eq!(r.predictions.len(), split.test.len());
             assert!(r.metrics.relative_error.is_finite());
         }
+    }
+
+    #[test]
+    fn workspace_root_is_the_nearest_ancestor_with_a_workspace_table() {
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos());
+        let base =
+            std::env::temp_dir().join(format!("qpp_bench_ws_{}_{nanos}", std::process::id()));
+        let member = base.join("repo/crates/member");
+        let deep = member.join("src/deeper");
+        let nested = base.join("repo/tools/own_ws");
+        std::fs::create_dir_all(&deep).unwrap();
+        std::fs::create_dir_all(nested.join("src")).unwrap();
+        std::fs::write(base.join("repo/Cargo.toml"), "[workspace]\nmembers = [\"crates/member\"]\n")
+            .unwrap();
+        // A member manifest only *refers* to the workspace; it is skipped.
+        std::fs::write(
+            member.join("Cargo.toml"),
+            "[package]\nname = \"member\"\nversion.workspace = true\n\n[lints]\nworkspace = true\n",
+        )
+        .unwrap();
+        // A nested package with a workspace of its own is its own root.
+        std::fs::write(nested.join("Cargo.toml"), "[package]\nname = \"own\"\n\n[workspace]\n")
+            .unwrap();
+
+        let root = base.join("repo");
+        assert_eq!(find_workspace_root(&deep), Some(root.clone()));
+        assert_eq!(find_workspace_root(&member), Some(root.clone()));
+        assert_eq!(find_workspace_root(&root), Some(root.clone()));
+        assert_eq!(find_workspace_root(&nested.join("src")), Some(nested));
+        std::fs::remove_dir_all(&base).unwrap();
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //!   it is associative and commutative — per-connection histograms merge
 //!   into one report in any order (property-tested).
 
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 use qpp_plansim::plan::PlanNode;
@@ -478,14 +477,18 @@ pub struct ServeRow {
     pub git: String,
 }
 
-/// `git describe --always --dirty` of the workspace tree, or
-/// `"unknown"` when git is unavailable.
+/// `git describe --always --dirty` of the
+/// [`workspace_root`](crate::workspace_root) tree, or `"unknown"` when
+/// git or the workspace is unavailable.
 pub fn git_describe() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .current_dir(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."))
-        .output()
-        .ok()
+    crate::workspace_root()
+        .and_then(|root| {
+            std::process::Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .current_dir(root)
+                .output()
+                .ok()
+        })
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
@@ -529,9 +532,9 @@ impl ServeRow {
     }
 }
 
-/// Writes `BENCH_serve.json`-style rows (one JSON object per line,
-/// anchored at the workspace root like
-/// [`bench_json::write`](crate::bench_json::write)).
+/// Writes `BENCH_serve.json`-style rows through
+/// [`bench_json::write`](crate::bench_json::write), warning first when
+/// a row was measured on a dirty tree.
 ///
 /// # Panics
 /// Panics if the file cannot be written.
@@ -543,22 +546,7 @@ pub fn write_serve_rows(file_name: &str, rows: &[ServeRow]) {
             row.git
         );
     }
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(file_name);
-    let mut json = String::from("[\n");
-    for (i, row) in rows.iter().enumerate() {
-        json.push_str("  ");
-        json.push_str(&serde_json::to_string(row).expect("serve row serializes"));
-        if i + 1 < rows.len() {
-            json.push(',');
-        }
-        json.push('\n');
-    }
-    json.push_str("]\n");
-    let mut f = std::fs::File::create(&path)
-        .unwrap_or_else(|e| panic!("cannot write serve artifact {}: {e}", path.display()));
-    f.write_all(json.as_bytes())
-        .unwrap_or_else(|e| panic!("cannot write serve artifact {}: {e}", path.display()));
-    println!("wrote {} rows to {}", rows.len(), path.display());
+    crate::bench_json::write(file_name, rows);
 }
 
 #[cfg(test)]

@@ -39,10 +39,10 @@
 //! [`crate::infer::PlanProgram::compile`] of the same resident set, at any
 //! thread count. Three facts compose into that guarantee:
 //!
-//! 1. the fused gemm kernel is *row-invariant* — a row's output bits
+//! 1. the packed gemm kernel is *row-invariant* — a row's output bits
 //!    depend only on its own input, the weights and the bias, never on
 //!    which chunk (or slot) the row occupies
-//!    ([`qpp_nn::Matrix::matmul_bias_act_into`], property-tested);
+//!    ([`qpp_nn::PackedDense::forward_into`], property-tested);
 //! 2. the feature cache and CSE map are keyed by **lossless content
 //!    keys**, not hashes — a hit is bit-identical to recomputation by
 //!    construction;

@@ -118,8 +118,8 @@ impl Activation {
 
 /// Fused activation backward: `d ⊙= act'(z)` computed from the recorded
 /// *activations* `a` (see [`Activation::derivative_from_output`]) — the
-/// reverse-mode mirror of the fused serving forward
-/// [`crate::Matrix::matmul_bias_act_into`], which never materializes
+/// reverse-mode mirror of the packed serving forward
+/// [`crate::PackedDense::forward_into`], which never materializes
 /// pre-activations either. Identity is a no-op (no pass over `d` at all).
 ///
 /// # Panics

@@ -78,19 +78,6 @@ impl Dense {
         z
     }
 
-    /// Inference-only forward pass into a preallocated output
-    /// (`x.rows × out_dim`, overwritten). The allocation-free twin of
-    /// [`Dense::forward`] used by the serving hot path: gemm, bias and
-    /// activation are fused into one pass over the output.
-    pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
-        let act = self.act;
-        if act == Activation::Identity {
-            x.matmul_bias_act_into(&self.w, &self.b, |v| v, out);
-        } else {
-            x.matmul_bias_act_into(&self.w, &self.b, |v| act.apply(v), out);
-        }
-    }
-
     /// Backward pass.
     ///
     /// Given the layer input `x`, the cached pre-activation `z` and the

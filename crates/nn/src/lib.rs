@@ -10,11 +10,15 @@
 //!   backpropagation needs (`X·W`, `A·Bᵀ`, `Aᵀ·B`, horizontal concatenation,
 //!   column slicing) plus the row-routing kernels batched inference needs
 //!   (`gather_rows_into` / `scatter_rows_into`, allocation-free `matmul_into`).
-//! * [`BufferPool`] — reusable matrix buffers and an inference-only
-//!   [`Mlp::forward_pooled`] pass, so serving hot paths allocate nothing in
-//!   steady state — plus the resident [`Executor`]: a process-wide pool of
-//!   parked worker threads (each owning its `BufferPool`) that multicore
-//!   serving and training dispatch onto instead of spawning threads per run.
+//! * [`PackedMlp`] — an [`Mlp`] repacked into cache-line panels for the
+//!   tiered SIMD gemm kernels (scalar / AVX2+FMA / AVX-512F, see
+//!   [`KernelTier`]) that every serving and wavefront-training gemm runs.
+//! * [`BufferPool`] — reusable matrix buffers behind the inference-only
+//!   [`PackedMlp::forward_pooled`] pass, so serving hot paths allocate
+//!   nothing in steady state — plus the resident [`Executor`]: a
+//!   process-wide pool of parked worker threads (each owning its
+//!   `BufferPool`) that multicore serving and training dispatch onto
+//!   instead of spawning threads per run.
 //! * [`Dense`] / [`Mlp`] — affine layers with configurable [`Activation`]s,
 //!   batched forward passes, cached activations, and exact reverse-mode
 //!   gradients (including the *input* gradient, which plan-structured

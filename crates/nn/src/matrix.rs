@@ -194,9 +194,9 @@ impl Matrix {
 
     /// Matrix product `self · other`, written into `out` (overwritten, not
     /// accumulated). The allocation-free twin of [`Matrix::matmul`] for
-    /// callers that reuse buffers (the serving forward uses the fused
-    /// [`Matrix::matmul_bias_act_into`] instead, which also folds in bias
-    /// and activation).
+    /// callers that reuse buffers (the serving forward runs the packed
+    /// [`crate::PackedDense::forward_into`] instead, which also folds in
+    /// bias and activation).
     ///
     /// # Panics
     /// Panics if `self.cols != other.rows` or `out` is not
@@ -244,115 +244,6 @@ impl Matrix {
         }
     }
 
-    /// Fused dense-layer forward: `out = act(self · w + bias)`, written
-    /// into `out` (overwritten). Each output row is *initialized with the
-    /// bias* instead of zero, accumulated, then activated in place — one
-    /// pass fewer over `out` than `matmul_into` + broadcast + map.
-    ///
-    /// This is the serving-engine gemm: when the CPU supports AVX2+FMA
-    /// (checked once at runtime; the build stays portable baseline
-    /// x86-64) a register-blocked 4-row microkernel is used — the
-    /// wavefront scheduler exists precisely to assemble such multi-row
-    /// batches, which the per-class path's tiny per-position gemms cannot
-    /// exploit. Results may differ from the scalar path by FMA rounding
-    /// (≤ a few ULP per accumulation chain); the differential suite bounds
-    /// the end-to-end effect at `1e-5` relative.
-    ///
-    /// **Row invariance:** within one process, a given input row produces
-    /// bit-identical output no matter how many other rows share the batch
-    /// or where in the batch it sits. The 4-row block and the single-row
-    /// remainder kernel execute the *same per-row operation sequence*
-    /// (same column tiling, same ascending-`k` FMA chain), so splitting,
-    /// merging or reordering batch rows never changes any row's bits. The
-    /// incremental serving engine (`qppnet::stream`) relies on this to
-    /// keep admit/retire re-chunking bit-identical to a fresh compile; a
-    /// property test below pins it down. Two caveats, both unreachable
-    /// with healthy models: a bias lane of literal `-0.0` could flip to
-    /// `+0.0` on an all-zero input row in the blocked path (initializers
-    /// and optimizer steps only ever produce `+0.0`), and weights must be
-    /// finite — the block skips a `k` only when all four lanes are zero,
-    /// so a zero input against an `Inf`/`NaN` weight would contribute
-    /// `NaN` in a block but be skipped alone.
-    ///
-    /// `act` is applied per element; pass the identity closure for linear
-    /// output layers.
-    ///
-    /// # Panics
-    /// Panics on any shape mismatch, naming the offending shapes.
-    pub fn matmul_bias_act_into(
-        &self,
-        w: &Matrix,
-        bias: &[f32],
-        act: impl Fn(f32) -> f32,
-        out: &mut Matrix,
-    ) {
-        assert_eq!(
-            self.cols, w.rows,
-            "matmul dimension mismatch: {}x{} · {}x{}",
-            self.rows, self.cols, w.rows, w.cols
-        );
-        assert!(
-            out.rows == self.rows && out.cols == w.cols,
-            "matmul output shape mismatch: got {}x{}, need {}x{}",
-            out.rows,
-            out.cols,
-            self.rows,
-            w.cols
-        );
-        assert_eq!(
-            bias.len(),
-            w.cols,
-            "bias length mismatch: {} for {}x{} weights",
-            bias.len(),
-            w.rows,
-            w.cols
-        );
-        #[cfg(target_arch = "x86_64")]
-        if crate::tier::KernelTier::current().simd() {
-            // SAFETY: the tier ladder verified avx2+fma at runtime. The
-            // unpacked kernels keep their AVX2 bodies under the Avx512f
-            // tier too — they are the bitwise reference the packed-panel
-            // kernels (crate::packed) are tested against.
-            unsafe { simd::matmul_bias_avx2(self, w, bias, out) };
-            for i in 0..out.rows {
-                for o in out.row_mut(i).iter_mut() {
-                    *o = act(*o);
-                }
-            }
-            return;
-        }
-        self.matmul_bias_act_scalar(w, bias, act, out);
-    }
-
-    /// Portable scalar implementation of [`Matrix::matmul_bias_act_into`]
-    /// (also the row/column remainder kernel of the SIMD path).
-    fn matmul_bias_act_scalar(
-        &self,
-        w: &Matrix,
-        bias: &[f32],
-        act: impl Fn(f32) -> f32,
-        out: &mut Matrix,
-    ) {
-        let oc = w.cols;
-        for i in 0..self.rows {
-            let arow = &self.data[i * self.cols..(i + 1) * self.cols];
-            let orow = &mut out.data[i * oc..(i + 1) * oc];
-            orow.copy_from_slice(bias);
-            for (k, &a) in arow.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let brow = &w.data[k * oc..(k + 1) * oc];
-                for (o, &b) in orow.iter_mut().zip(brow) {
-                    *o += a * b;
-                }
-            }
-            for o in orow.iter_mut() {
-                *o = act(*o);
-            }
-        }
-    }
-
     /// `self · otherᵀ` (`n×k · m×k = n×m`) without materializing a transpose.
     ///
     /// Used for the input gradient `dX = dZ · Wᵀ` when weights are stored
@@ -364,9 +255,10 @@ impl Matrix {
     }
 
     /// `self · otherᵀ` written into `out` (overwritten, not accumulated) —
-    /// the allocation-free twin of [`Matrix::matmul_a_bt`] for the
-    /// wavefront training backward, which ping-pongs the running input
-    /// gradient `dX = dZ · Wᵀ` through pooled buffers.
+    /// the allocation-free twin of [`Matrix::matmul_a_bt`]. One dot
+    /// product per output element, `k` ascending. (The wavefront
+    /// training backward runs the packed-panel twin,
+    /// [`crate::PackedDense::backward_input_into`].)
     ///
     /// # Panics
     /// Panics if `self.cols != other.cols` or `out` is not
@@ -385,18 +277,6 @@ impl Matrix {
             self.rows,
             other.rows
         );
-        #[cfg(target_arch = "x86_64")]
-        if crate::tier::KernelTier::current().simd() {
-            // SAFETY: the tier ladder verified avx2+fma at runtime.
-            unsafe { simd::matmul_a_bt_avx2(self, other, out) };
-            return;
-        }
-        self.matmul_a_bt_scalar(other, out);
-    }
-
-    /// Portable scalar implementation of [`Matrix::matmul_a_bt_into`]
-    /// (shapes already checked by the dispatching caller).
-    fn matmul_a_bt_scalar(&self, other: &Matrix, out: &mut Matrix) {
         for i in 0..self.rows {
             let arow = &self.data[i * self.cols..(i + 1) * self.cols];
             let orow = &mut out.data[i * other.rows..(i + 1) * other.rows];
@@ -430,18 +310,6 @@ impl Matrix {
             self.cols,
             other.cols
         );
-        #[cfg(target_arch = "x86_64")]
-        if crate::tier::KernelTier::current().simd() {
-            // SAFETY: the tier ladder verified avx2+fma at runtime.
-            unsafe { simd::matmul_at_b_avx2(self, other, out) };
-            return;
-        }
-        self.matmul_at_b_scalar(other, out);
-    }
-
-    /// Portable scalar implementation of [`Matrix::matmul_at_b_into`]
-    /// (shapes already checked by the dispatching caller).
-    fn matmul_at_b_scalar(&self, other: &Matrix, out: &mut Matrix) {
         let oc = other.cols;
         for n in 0..self.rows {
             let arow = self.row(n);
@@ -847,436 +715,6 @@ impl Matrix {
     }
 }
 
-/// Runtime-dispatched AVX2+FMA microkernel for the serving-path fused
-/// forward. The build stays portable (baseline x86-64); the wide path is
-/// selected per process via `is_x86_feature_detected!`.
-#[cfg(target_arch = "x86_64")]
-mod simd {
-    use super::Matrix;
-    use std::arch::x86_64::*;
-    use std::sync::OnceLock;
-
-    /// One-time CPUID check for AVX2 + FMA. Dispatch now goes through the
-    /// tier ladder (`crate::tier::KernelTier`), which also honours the
-    /// forced-tier override; this raw hardware check remains for tests
-    /// that compare SIMD bodies against scalar references directly.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn avx2_fma_available() -> bool {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL
-            .get_or_init(|| is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma"))
-    }
-
-    /// `out = a · w + bias` with a 4-row × 16-column register-blocked
-    /// FMA kernel (accumulators live in YMM registers; `w`'s row chunk is
-    /// loaded once per 4 input rows instead of once per row). Remainder
-    /// rows run through [`row_kernel_avx2`], which executes the **same
-    /// per-row operation sequence** as the block (same column tiling, same
-    /// ascending-`k` FMA chain), so a row's output bits never depend on
-    /// its position in the batch or on the batch size — the row-invariance
-    /// contract the incremental serving engine rests on. Columns past the
-    /// widest vector tile fall back to scalar identically in both paths.
-    /// No activation — the caller applies it in a separate (cache-hot)
-    /// pass.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 and FMA are available (see
-    /// [`avx2_fma_available`]) and that the shapes agree:
-    /// `a: n×k`, `w: k×m`, `bias: m`, `out: n×m`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_bias_avx2(a: &Matrix, w: &Matrix, bias: &[f32], out: &mut Matrix) {
-        let (n, kd, m) = (a.rows, a.cols, w.cols);
-        let ad = a.data.as_ptr();
-        let wd = w.data.as_ptr();
-        let od = out.data.as_mut_ptr();
-        let bp = bias.as_ptr();
-
-        let mut ib = 0usize;
-        while ib + 4 <= n {
-            let a0p = ad.add(ib * kd);
-            let a1p = ad.add((ib + 1) * kd);
-            let a2p = ad.add((ib + 2) * kd);
-            let a3p = ad.add((ib + 3) * kd);
-
-            let mut jb = 0usize;
-            // 16-column tiles: 8 YMM accumulators (4 rows × 2 vectors).
-            while jb + 16 <= m {
-                let binit0 = _mm256_loadu_ps(bp.add(jb));
-                let binit1 = _mm256_loadu_ps(bp.add(jb + 8));
-                let mut acc = [[binit0, binit1]; 4];
-                for k in 0..kd {
-                    let (x0, x1, x2, x3) =
-                        (*a0p.add(k), *a1p.add(k), *a2p.add(k), *a3p.add(k));
-                    // ReLU activations and one-hot features are mostly
-                    // zero; skipping a fully-zero column of the row block
-                    // skips two W loads and eight FMAs.
-                    if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                        continue;
-                    }
-                    let w0 = _mm256_loadu_ps(wd.add(k * m + jb));
-                    let w1 = _mm256_loadu_ps(wd.add(k * m + jb + 8));
-                    let v0 = _mm256_set1_ps(x0);
-                    acc[0][0] = _mm256_fmadd_ps(v0, w0, acc[0][0]);
-                    acc[0][1] = _mm256_fmadd_ps(v0, w1, acc[0][1]);
-                    let v1 = _mm256_set1_ps(x1);
-                    acc[1][0] = _mm256_fmadd_ps(v1, w0, acc[1][0]);
-                    acc[1][1] = _mm256_fmadd_ps(v1, w1, acc[1][1]);
-                    let v2 = _mm256_set1_ps(x2);
-                    acc[2][0] = _mm256_fmadd_ps(v2, w0, acc[2][0]);
-                    acc[2][1] = _mm256_fmadd_ps(v2, w1, acc[2][1]);
-                    let v3 = _mm256_set1_ps(x3);
-                    acc[3][0] = _mm256_fmadd_ps(v3, w0, acc[3][0]);
-                    acc[3][1] = _mm256_fmadd_ps(v3, w1, acc[3][1]);
-                }
-                for (r, row_acc) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(od.add((ib + r) * m + jb), row_acc[0]);
-                    _mm256_storeu_ps(od.add((ib + r) * m + jb + 8), row_acc[1]);
-                }
-                jb += 16;
-            }
-            // 8-column tile (narrow output layers, e.g. `d + 1`).
-            while jb + 8 <= m {
-                let binit = _mm256_loadu_ps(bp.add(jb));
-                let mut acc = [binit; 4];
-                for k in 0..kd {
-                    let (x0, x1, x2, x3) =
-                        (*a0p.add(k), *a1p.add(k), *a2p.add(k), *a3p.add(k));
-                    if x0 == 0.0 && x1 == 0.0 && x2 == 0.0 && x3 == 0.0 {
-                        continue;
-                    }
-                    let w0 = _mm256_loadu_ps(wd.add(k * m + jb));
-                    acc[0] = _mm256_fmadd_ps(_mm256_set1_ps(x0), w0, acc[0]);
-                    acc[1] = _mm256_fmadd_ps(_mm256_set1_ps(x1), w0, acc[1]);
-                    acc[2] = _mm256_fmadd_ps(_mm256_set1_ps(x2), w0, acc[2]);
-                    acc[3] = _mm256_fmadd_ps(_mm256_set1_ps(x3), w0, acc[3]);
-                }
-                for (r, row_acc) in acc.iter().enumerate() {
-                    _mm256_storeu_ps(od.add((ib + r) * m + jb), *row_acc);
-                }
-                jb += 8;
-            }
-            // Column remainder: scalar over the 4 rows. `mul_add` keeps
-            // these chains fused like the vector tiles, so the
-            // packed-panel kernels (pure-FMA lanes everywhere) stay
-            // bitwise-equal to this dispatch.
-            if jb < m {
-                for r in 0..4 {
-                    let arow = ad.add((ib + r) * kd);
-                    for j in jb..m {
-                        let mut s = *bp.add(j);
-                        for k in 0..kd {
-                            let x = *arow.add(k);
-                            if x != 0.0 {
-                                s = f32::mul_add(x, *wd.add(k * m + j), s);
-                            }
-                        }
-                        *od.add((ib + r) * m + j) = s;
-                    }
-                }
-            }
-            ib += 4;
-        }
-        // Row remainder: the single-row kernel (identical per-row op
-        // sequence to the 4-row block — see the row-invariance contract).
-        for i in ib..n {
-            row_kernel_avx2(ad.add(i * kd), kd, wd, m, bp, od.add(i * m));
-        }
-    }
-
-    /// `out = a · bᵀ` as row-pair dot products: for each output element,
-    /// a 16-lane (2 × YMM) FMA accumulation over the shared `k` axis with
-    /// a horizontal reduction at the end. This is the **training
-    /// backward's input-gradient gemm** `dX = dZ · Wᵀ` — both operand
-    /// rows are contiguous, so the dot formulation streams them without
-    /// materializing a transpose. Accumulation order differs from the
-    /// scalar path (lane-parallel then horizontal), so results may differ
-    /// by FMA/reassociation rounding — the backward makes no bitwise
-    /// promise; the gradient differential suite bounds the effect.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 and FMA are available (see
-    /// [`avx2_fma_available`]) and that the shapes agree:
-    /// `a: n×k`, `b: m×k`, `out: n×m`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_a_bt_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        let (n, kd, m) = (a.rows, a.cols, b.rows);
-        let ad = a.data.as_ptr();
-        let bd = b.data.as_ptr();
-        let od = out.data.as_mut_ptr();
-
-        /// Horizontal sum of one YMM accumulator.
-        #[inline(always)]
-        unsafe fn hsum(acc: __m256) -> f32 {
-            let lo = _mm256_castps256_ps128(acc);
-            let hi = _mm256_extractf128_ps(acc, 1);
-            let q = _mm_add_ps(lo, hi);
-            let q = _mm_add_ps(q, _mm_movehl_ps(q, q));
-            let q = _mm_add_ss(q, _mm_shuffle_ps(q, q, 1));
-            _mm_cvtss_f32(q)
-        }
-
-        for i in 0..n {
-            let arow = ad.add(i * kd);
-            let orow = od.add(i * m);
-            // 4 output columns per block: each `a`-row tile is loaded once
-            // and feeds four FMA chains against four `b` rows (the dot
-            // loop is load-bound, so sharing the left operand is the win).
-            let mut jb = 0usize;
-            while jb + 4 <= m {
-                let b0 = bd.add(jb * kd);
-                let b1 = bd.add((jb + 1) * kd);
-                let b2 = bd.add((jb + 2) * kd);
-                let b3 = bd.add((jb + 3) * kd);
-                let mut acc = [_mm256_setzero_ps(); 4];
-                let mut k = 0usize;
-                while k + 8 <= kd {
-                    let av = _mm256_loadu_ps(arow.add(k));
-                    acc[0] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b0.add(k)), acc[0]);
-                    acc[1] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b1.add(k)), acc[1]);
-                    acc[2] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b2.add(k)), acc[2]);
-                    acc[3] = _mm256_fmadd_ps(av, _mm256_loadu_ps(b3.add(k)), acc[3]);
-                    k += 8;
-                }
-                let mut s = [hsum(acc[0]), hsum(acc[1]), hsum(acc[2]), hsum(acc[3])];
-                for kk in k..kd {
-                    let x = *arow.add(kk);
-                    s[0] += x * *b0.add(kk);
-                    s[1] += x * *b1.add(kk);
-                    s[2] += x * *b2.add(kk);
-                    s[3] += x * *b3.add(kk);
-                }
-                for (r, &v) in s.iter().enumerate() {
-                    *orow.add(jb + r) = v;
-                }
-                jb += 4;
-            }
-            // Column remainder: single dots.
-            for j in jb..m {
-                let brow = bd.add(j * kd);
-                let mut acc = _mm256_setzero_ps();
-                let mut k = 0usize;
-                while k + 8 <= kd {
-                    acc = _mm256_fmadd_ps(
-                        _mm256_loadu_ps(arow.add(k)),
-                        _mm256_loadu_ps(brow.add(k)),
-                        acc,
-                    );
-                    k += 8;
-                }
-                let mut s = hsum(acc);
-                for kk in k..kd {
-                    s += *arow.add(kk) * *brow.add(kk);
-                }
-                *orow.add(j) = s;
-            }
-        }
-    }
-
-    /// `out += aᵀ · b` register-blocked over the contraction dimension:
-    /// rows of `a`/`b` are consumed **four at a time**, so each touched
-    /// 8-lane output tile `out[r, j..j+8]` is loaded and stored once per
-    /// block instead of once per contributing row — the broadcast-FMA
-    /// kernel's load/store round-trip per `(n, r)` pair was the remaining
-    /// memory traffic in the training backward's weight-gradient gemm
-    /// `dW += Xᵀ · dZ`. The per-lane zero-skip is preserved exactly
-    /// (`x` is post-ReLU activations or one-hot-heavy feature rows, and
-    /// substituting an FMA with a `±0` multiplicand is *not* bit-safe
-    /// under `-0.0` accumulators or `±Inf`/`NaN` operands).
-    ///
-    /// **Bitwise contract against [`matmul_at_b_avx2_broadcast`]**: for
-    /// every output element `out[r, j]`, both kernels apply the identical
-    /// chain of operations — one FMA (vector lanes) or one mul-then-add
-    /// (scalar tail) per nonzero `a[n, r]`, in ascending `n` — so blocking
-    /// only moves the accumulator from memory round-trips into a register
-    /// and the results are bit-identical (property-tested). The row
-    /// remainder (`n % 4`) runs the broadcast form itself. As for
-    /// [`matmul_a_bt_avx2`], no bitwise contract is made *against the
-    /// scalar fallback* (FMA contraction rounds once, not twice).
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 and FMA are available (see
-    /// [`avx2_fma_available`]) and that the shapes agree:
-    /// `a: n×r`, `b: n×c`, `out: r×c`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_at_b_avx2(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        let (n, rd, oc) = (a.rows, a.cols, b.cols);
-        let ad = a.data.as_ptr();
-        let bd = b.data.as_ptr();
-        let od = out.data.as_mut_ptr();
-        let nb_end = n - n % 4;
-        let mut nn = 0usize;
-        while nn < nb_end {
-            let arows =
-                [ad.add(nn * rd), ad.add((nn + 1) * rd), ad.add((nn + 2) * rd), ad.add((nn + 3) * rd)];
-            let brows =
-                [bd.add(nn * oc), bd.add((nn + 1) * oc), bd.add((nn + 2) * oc), bd.add((nn + 3) * oc)];
-            for r in 0..rd {
-                let xs = [
-                    *arows[0].add(r),
-                    *arows[1].add(r),
-                    *arows[2].add(r),
-                    *arows[3].add(r),
-                ];
-                if xs.iter().all(|&x| x == 0.0) {
-                    continue;
-                }
-                let orow = od.add(r * oc);
-                let mut j = 0usize;
-                while j + 8 <= oc {
-                    let mut o = _mm256_loadu_ps(orow.add(j));
-                    for (l, &x) in xs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        o = _mm256_fmadd_ps(
-                            _mm256_set1_ps(x),
-                            _mm256_loadu_ps(brows[l].add(j)),
-                            o,
-                        );
-                    }
-                    _mm256_storeu_ps(orow.add(j), o);
-                    j += 8;
-                }
-                for jj in j..oc {
-                    let mut s = *orow.add(jj);
-                    for (l, &x) in xs.iter().enumerate() {
-                        if x == 0.0 {
-                            continue;
-                        }
-                        s += x * *brows[l].add(jj);
-                    }
-                    *orow.add(jj) = s;
-                }
-            }
-            nn += 4;
-        }
-        if nb_end < n {
-            matmul_at_b_rows_broadcast(a, b, out, nb_end, n);
-        }
-    }
-
-    /// `out += aᵀ · b` as broadcast-FMA row updates: for each nonzero
-    /// `a[n, r]`, `out.row(r) += a[n, r] · b.row(n)` across 8-lane tiles.
-    /// This was the shipping kernel before the register-blocked
-    /// [`matmul_at_b_avx2`]; it stays as (a) the row-remainder path of the
-    /// blocked kernel and (b) the bitwise reference its differential
-    /// property test runs against.
-    ///
-    /// # Safety
-    /// As [`matmul_at_b_avx2`].
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn matmul_at_b_avx2_broadcast(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-        matmul_at_b_rows_broadcast(a, b, out, 0, a.rows);
-    }
-
-    /// The broadcast-FMA update restricted to rows `n0..n1` of the
-    /// contraction dimension (shared by [`matmul_at_b_avx2`]'s remainder
-    /// and the reference kernel).
-    ///
-    /// # Safety
-    /// As [`matmul_at_b_avx2`]; additionally `n1 <= a.rows`.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn matmul_at_b_rows_broadcast(
-        a: &Matrix,
-        b: &Matrix,
-        out: &mut Matrix,
-        n0: usize,
-        n1: usize,
-    ) {
-        let (rd, oc) = (a.cols, b.cols);
-        let ad = a.data.as_ptr();
-        let bd = b.data.as_ptr();
-        let od = out.data.as_mut_ptr();
-        for nn in n0..n1 {
-            let arow = ad.add(nn * rd);
-            let brow = bd.add(nn * oc);
-            for r in 0..rd {
-                let x = *arow.add(r);
-                if x == 0.0 {
-                    continue;
-                }
-                let orow = od.add(r * oc);
-                let v = _mm256_set1_ps(x);
-                let mut j = 0usize;
-                while j + 8 <= oc {
-                    let o = _mm256_loadu_ps(orow.add(j));
-                    let bvec = _mm256_loadu_ps(brow.add(j));
-                    _mm256_storeu_ps(orow.add(j), _mm256_fmadd_ps(v, bvec, o));
-                    j += 8;
-                }
-                for jj in j..oc {
-                    *orow.add(jj) += x * *brow.add(jj);
-                }
-            }
-        }
-    }
-
-    /// One row of the fused forward, with exactly the per-row operation
-    /// sequence of the 4-row block in [`matmul_bias_avx2`]: 16-column FMA
-    /// tiles, then an 8-column tile, then scalar mul-add columns, always
-    /// accumulating over `k` ascending. Skipping `x == 0` matches the
-    /// block's all-zero skip bit for bit: an FMA with a `±0` multiplicand
-    /// leaves any `+0`-or-nonzero accumulator unchanged, and accumulators
-    /// start from the bias, which is never `-0.0` (see the caveat on
-    /// [`Matrix::matmul_bias_act_into`]).
-    ///
-    /// # Safety
-    /// As [`matmul_bias_avx2`]; `arow` must point at `k` readable floats
-    /// and `orow` at `m` writable floats.
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_kernel_avx2(
-        arow: *const f32,
-        kd: usize,
-        wd: *const f32,
-        m: usize,
-        bp: *const f32,
-        orow: *mut f32,
-    ) {
-        let mut jb = 0usize;
-        while jb + 16 <= m {
-            let mut acc0 = _mm256_loadu_ps(bp.add(jb));
-            let mut acc1 = _mm256_loadu_ps(bp.add(jb + 8));
-            for k in 0..kd {
-                let x = *arow.add(k);
-                if x == 0.0 {
-                    continue;
-                }
-                let v = _mm256_set1_ps(x);
-                acc0 = _mm256_fmadd_ps(v, _mm256_loadu_ps(wd.add(k * m + jb)), acc0);
-                acc1 = _mm256_fmadd_ps(v, _mm256_loadu_ps(wd.add(k * m + jb + 8)), acc1);
-            }
-            _mm256_storeu_ps(orow.add(jb), acc0);
-            _mm256_storeu_ps(orow.add(jb + 8), acc1);
-            jb += 16;
-        }
-        while jb + 8 <= m {
-            let mut acc = _mm256_loadu_ps(bp.add(jb));
-            for k in 0..kd {
-                let x = *arow.add(k);
-                if x == 0.0 {
-                    continue;
-                }
-                acc = _mm256_fmadd_ps(_mm256_set1_ps(x), _mm256_loadu_ps(wd.add(k * m + jb)), acc);
-            }
-            _mm256_storeu_ps(orow.add(jb), acc);
-            jb += 8;
-        }
-        // Column remainder: `mul_add` keeps the chains fused like the
-        // vector tiles (bitwise contract with the packed-panel kernels).
-        for j in jb..m {
-            let mut s = *bp.add(j);
-            for k in 0..kd {
-                let x = *arow.add(k);
-                if x != 0.0 {
-                    s = f32::mul_add(x, *wd.add(k * m + j), s);
-                }
-            }
-            *orow.add(j) = s;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1452,22 +890,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_layer_kernel_matches_unfused_pipeline() {
-        let x = Matrix::from_rows(&[&[1.0, -2.0, 0.0], &[0.5, 0.25, -1.0]]);
-        let w = Matrix::from_fn(3, 4, |i, j| (i as f32 - j as f32) * 0.3);
-        let bias = [0.1, -0.2, 0.3, -0.4];
-        let relu = |v: f32| v.max(0.0);
-
-        let mut unfused = x.matmul(&w);
-        unfused.add_row_inplace(&bias);
-        unfused.map_inplace(relu);
-
-        let mut fused = Matrix::from_fn(2, 4, |_, _| 77.0); // stale contents
-        x.matmul_bias_act_into(&w, &bias, relu, &mut fused);
-        assert_eq!(fused, unfused);
-    }
-
-    #[test]
     #[should_panic(expected = "matmul dimension mismatch: 2x2 · 3x1")]
     fn matmul_names_shapes_on_mismatch() {
         let a = Matrix::zeros(2, 2);
@@ -1563,142 +985,6 @@ mod tests {
             let a = Matrix::from_fn(n, r, |_, _| rng.gen_range(-2.0..2.0));
             let b = Matrix::from_fn(n, c, |_, _| rng.gen_range(-2.0..2.0));
             prop_assert!(approx_eq(&a.matmul_at_b(&b), &a.transpose().matmul(&b), 1e-4));
-        }
-
-        /// The fused serving kernel must agree with the scalar reference
-        /// across every row/column remainder combination (the SIMD path
-        /// tiles 4 rows × 16/8 columns with scalar tails) and under
-        /// realistic sparsity, to FMA-rounding tolerance.
-        #[test]
-        fn fused_kernel_dispatch_matches_scalar_reference(
-            n in 1usize..14, k in 1usize..40, m in 1usize..40,
-            seed in any::<u64>(),
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let a = Matrix::from_fn(n, k, |_, _| {
-                if rng.gen_range(0.0..1.0) < 0.4 { 0.0 } else { rng.gen_range(-2.0..2.0) }
-            });
-            let w = Matrix::from_fn(k, m, |_, _| rng.gen_range(-1.0..1.0));
-            let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-0.5..0.5)).collect();
-            let relu = |v: f32| v.max(0.0);
-            let mut dispatched = Matrix::zeros(n, m);
-            a.matmul_bias_act_into(&w, &bias, relu, &mut dispatched);
-            let mut scalar = Matrix::zeros(n, m);
-            a.matmul_bias_act_scalar(&w, &bias, relu, &mut scalar);
-            prop_assert!(approx_eq(&dispatched, &scalar, 1e-5));
-        }
-
-        /// The row-invariance contract of the fused kernel: a row's output
-        /// bits depend only on that row's input (and `w`/`bias`), never on
-        /// the batch size or the row's position in it. The incremental
-        /// serving engine re-chunks wavefront rows on admit/retire and
-        /// promises predictions bit-identical to a fresh compile — which
-        /// is exactly this property, batched. Exercised across block/
-        /// remainder row positions (n up to 14) and all column-tile
-        /// remainders, with realistic sparsity.
-        #[test]
-        fn fused_kernel_rows_are_bitwise_position_invariant(
-            n in 1usize..14, k in 1usize..40, m in 1usize..40,
-            seed in any::<u64>(),
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let a = Matrix::from_fn(n, k, |_, _| {
-                if rng.gen_range(0.0..1.0) < 0.4 { 0.0 } else { rng.gen_range(-2.0..2.0) }
-            });
-            let w = Matrix::from_fn(k, m, |_, _| rng.gen_range(-1.0..1.0));
-            let bias: Vec<f32> = (0..m).map(|_| rng.gen_range(-0.5..0.5)).collect();
-            let relu = |v: f32| v.max(0.0);
-            let mut full = Matrix::zeros(n, m);
-            a.matmul_bias_act_into(&w, &bias, relu, &mut full);
-            // Each row alone must reproduce its slice of the batch, bit
-            // for bit.
-            for i in 0..n {
-                let single = Matrix::from_row(a.row(i));
-                let mut out = Matrix::zeros(1, m);
-                single.matmul_bias_act_into(&w, &bias, relu, &mut out);
-                let got: Vec<u32> = out.row(0).iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = full.row(i).iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(got, want, "row {} diverges from its batched bits", i);
-            }
-            // And any prefix/suffix re-chunking reproduces the same bits.
-            let split = n / 2;
-            if split > 0 {
-                let lo = Matrix::from_fn(split, k, |i, j| a.get(i, j));
-                let mut lo_out = Matrix::zeros(split, m);
-                lo.matmul_bias_act_into(&w, &bias, relu, &mut lo_out);
-                for i in 0..split {
-                    prop_assert_eq!(lo_out.row(i), full.row(i), "re-chunked row {} diverges", i);
-                }
-            }
-        }
-
-        /// The backward gemm dispatch (AVX2 dots / broadcast-FMA when
-        /// available) must agree with the scalar reference across every
-        /// lane-remainder combination and under realistic sparsity, to
-        /// FMA-rounding tolerance.
-        #[test]
-        fn backward_kernel_dispatch_matches_scalar_reference(
-            n in 1usize..10, k in 1usize..40, m in 1usize..40,
-            seed in any::<u64>(),
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let sparse = |rng: &mut rand::rngs::StdRng| {
-                if rng.gen_range(0.0..1.0) < 0.4 { 0.0 } else { rng.gen_range(-2.0..2.0) }
-            };
-            // dX = dZ · Wᵀ
-            let dz = Matrix::from_fn(n, k, |_, _| sparse(&mut rng));
-            let w = Matrix::from_fn(m, k, |_, _| rng.gen_range(-1.0..1.0));
-            let mut dispatched = Matrix::zeros(n, m);
-            dz.matmul_a_bt_into(&w, &mut dispatched);
-            let mut scalar = Matrix::zeros(n, m);
-            dz.matmul_a_bt_scalar(&w, &mut scalar);
-            prop_assert!(approx_eq(&dispatched, &scalar, 1e-5));
-            // dW += Xᵀ · dZ, accumulating onto non-zero contents.
-            let x = Matrix::from_fn(n, m, |_, _| sparse(&mut rng));
-            let dz2 = Matrix::from_fn(n, k, |_, _| rng.gen_range(-1.0..1.0));
-            let mut acc_d = Matrix::from_fn(m, k, |i, j| ((i + j) % 3) as f32 * 0.25);
-            let mut acc_s = acc_d.clone();
-            x.matmul_at_b_into(&dz2, &mut acc_d);
-            x.matmul_at_b_scalar(&dz2, &mut acc_s);
-            prop_assert!(approx_eq(&acc_d, &acc_s, 1e-5));
-        }
-
-        /// The register-blocked `aᵀ·b` kernel promises **bit-identical**
-        /// results to the broadcast-FMA kernel it replaced (same per-
-        /// element FMA/mul-add chain, ascending `n` — blocking only keeps
-        /// the accumulator in a register). Exercised across 4-row-block
-        /// remainders (`n % 4`), every 8-lane column remainder, realistic
-        /// sparsity (the per-lane zero-skip is the delicate part) and
-        /// non-zero accumulator contents.
-        #[test]
-        fn blocked_at_b_kernel_is_bitwise_equal_to_broadcast(
-            n in 1usize..14, r in 1usize..12, c in 1usize..40,
-            seed in any::<u64>(),
-        ) {
-            #[cfg(target_arch = "x86_64")]
-            if simd::avx2_fma_available() {
-                use rand::{Rng, SeedableRng};
-                let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-                let sparse = |rng: &mut rand::rngs::StdRng| {
-                    if rng.gen_range(0.0..1.0) < 0.4 { 0.0 } else { rng.gen_range(-2.0..2.0) }
-                };
-                let a = Matrix::from_fn(n, r, |_, _| sparse(&mut rng));
-                let b = Matrix::from_fn(n, c, |_, _| rng.gen_range(-1.0..1.0));
-                let mut acc_new = Matrix::from_fn(r, c, |i, j| ((i * 7 + j) % 5) as f32 * 0.125);
-                let mut acc_ref = acc_new.clone();
-                // SAFETY: availability checked above; shapes agree by
-                // construction.
-                unsafe {
-                    simd::matmul_at_b_avx2(&a, &b, &mut acc_new);
-                    simd::matmul_at_b_avx2_broadcast(&a, &b, &mut acc_ref);
-                }
-                let got: Vec<u32> = acc_new.as_slice().iter().map(|v| v.to_bits()).collect();
-                let want: Vec<u32> = acc_ref.as_slice().iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(got, want, "blocked kernel diverges from broadcast reference");
-            }
         }
 
         #[test]

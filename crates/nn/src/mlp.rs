@@ -111,27 +111,6 @@ impl Mlp {
         cur
     }
 
-    /// Inference-only forward pass through pooled buffers.
-    ///
-    /// Unlike [`Mlp::forward`], which allocates one activation matrix per
-    /// layer, this path takes its two ping-pong layer buffers (and the
-    /// returned output) from `pool`, so a caller that `give`s the result
-    /// back performs zero steady-state allocation. Unlike
-    /// [`Mlp::forward_cached`] it stores nothing for a backward pass —
-    /// this is the serving path, not the training path.
-    pub fn forward_pooled(&self, x: &Matrix, pool: &mut crate::pool::BufferPool) -> Matrix {
-        let rows = x.rows();
-        let mut cur = pool.take(rows, self.layers[0].out_dim());
-        self.layers[0].forward_into(x, &mut cur);
-        for layer in &self.layers[1..] {
-            let mut next = pool.take(rows, layer.out_dim());
-            layer.forward_into(&cur, &mut next);
-            pool.give(cur);
-            cur = next;
-        }
-        cur
-    }
-
     /// Forward pass caching everything [`Mlp::backward`] needs.
     pub fn forward_cached(&self, x: &Matrix) -> MlpCache {
         let mut inputs = Vec::with_capacity(self.layers.len());
@@ -247,32 +226,6 @@ mod tests {
         let plain = m.forward(&x);
         let cached = m.forward_cached(&x);
         assert_eq!(plain, *cached.output());
-    }
-
-    #[test]
-    fn forward_pooled_matches_forward_and_reuses_buffers() {
-        let m = tiny_mlp(3);
-        let mut pool = crate::pool::BufferPool::new();
-        let x = Matrix::from_fn(5, 3, |i, j| (i as f32 * 1.3 - j as f32) * 0.21);
-        let plain = m.forward(&x);
-        // FMA rounding on the SIMD serving kernel means agreement is to a
-        // few ULP, not bit-identity, against the scalar training forward.
-        let close = |a: &Matrix, b: &Matrix| {
-            a.as_slice()
-                .iter()
-                .zip(b.as_slice())
-                .all(|(p, q)| (p - q).abs() <= 1e-5 * (1.0 + p.abs().max(q.abs())))
-        };
-        let pooled = m.forward_pooled(&x, &mut pool);
-        assert!(close(&plain, &pooled));
-        pool.give(pooled);
-        // Second pass draws entirely from the pool (ping + pong + output),
-        // and the same kernel is bit-deterministic across runs.
-        let before = pool.available();
-        let again = m.forward_pooled(&x, &mut pool);
-        assert!(close(&plain, &again));
-        pool.give(again);
-        assert_eq!(pool.available(), before);
     }
 
     #[test]

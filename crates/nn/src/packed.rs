@@ -1,7 +1,7 @@
 //! Packed-panel weight layout: cache-line-aligned, kernel-order column
 //! panels for the wavefront gemm families.
 //!
-//! The unpacked serving kernel streams a row-major weight matrix with a
+//! A gemm over a row-major weight matrix streams it with a
 //! `cols × 4`-byte stride per contraction step — 512 B jumps for the
 //! paper tier's 128-wide layers, so a 64 KB weight matrix is walked in a
 //! pattern the L1 can't hold, and output widths that aren't a multiple
@@ -32,28 +32,38 @@
 //!
 //! # Bitwise determinism
 //!
-//! The packed forward is **bit-identical** to the unpacked dispatch at
-//! the same tier, by construction, and the SIMD tiers are bit-identical
-//! to each other:
+//! Every kernel body is **bit-identical** to one scalar reference chain
+//! per output element, written over logical (unpacked) indices and so
+//! independent of the panel layout:
 //!
-//! * every output element is one chain `bias + Σₖ x[k]·w[k][j]` with `k`
-//!   strictly ascending, one FMA per retained term — lane position
-//!   (ZMM vs two YMM vs unpacked tiles) never changes a lane's chain;
-//! * zero-skip decisions are free: under the crate-wide kernel caveats
-//!   (biases are never `-0.0`, weights are finite) `fma(0, w, acc)`
-//!   is exactly `acc`, so the block-skip granularity (4-row blocks vs
-//!   single rows) cannot change results;
-//! * the scalar tier replicates the unpacked scalar kernels'
-//!   multiply-then-add chains instead, so forced-scalar runs
-//!   ([`crate::tier::FORCE_TIER_ENV`]) stay bit-identical to the
-//!   unpacked scalar reference.
+//! * start the accumulator from the bias lane (`+0.0` for `bias: None`);
+//!   the weight-gradient family continues from the accumulator's
+//!   current value;
+//! * walk the contraction index (`k` for `x · W`, the row `r` for
+//!   `Xᵀ · dZ`) strictly ascending, skipping zero inputs;
+//! * apply one `f32::mul_add` per term on the SIMD tiers — it rounds
+//!   once, exactly like a hardware FMA — or `acc + x * w` on the scalar
+//!   tier.
 //!
-//! Row invariance (a row's bits don't depend on its neighbours) carries
-//! over unchanged, so the serving engine's contracts — identical results
-//! at any thread count, streaming admission bitwise-equal to a fresh
-//! compile — survive the layout swap; property tests in this module and
-//! the differential suites enforce all of it against the retained
-//! unpacked kernels.
+//! Lanes never interact (there is no horizontal reduction), so panel
+//! grouping, 4-row register blocking, pairing groups and store masking
+//! change which elements a register holds, never a lane's chain. Both
+//! SIMD tiers share one reference and are therefore bit-identical to
+//! each other. Zero-skip decisions are free: under the crate-wide kernel
+//! caveats (biases are never `-0.0`, weights are finite) `fma(0, w, acc)`
+//! is exactly `acc`, so the skip granularity (4-row blocks, single rows,
+//! or none on the saturated AVX-512 paths) cannot change results. The
+//! scalar tier's multiply-then-add chains round differently, so tiers
+//! are separately deterministic rather than cross-tier identical;
+//! forced-scalar runs ([`crate::tier::FORCE_TIER_ENV`]) are
+//! deterministic too.
+//!
+//! Row invariance (a row's bits don't depend on its neighbours) follows,
+//! so the serving engine's contracts — identical results at any thread
+//! count, streaming admission bitwise-equal to a fresh compile — hold;
+//! the tests in this module pin every body the host supports to the
+//! reference, and the differential suites check the engines built on
+//! top.
 //!
 //! Packed structures are **ephemeral** acceleration state: they are
 //! rebuilt from the authoritative [`Dense`]/[`Mlp`] weights at
@@ -200,17 +210,16 @@ impl PackedWeights {
         }
     }
 
-    /// `out = a · P (+ bias)` — the packed twin of
-    /// [`Matrix::matmul_bias_act_into`]'s gemm (the caller applies the
-    /// activation, as the unpacked dispatch sites do). With `bias: None`
-    /// accumulator chains start at `+0.0` — the input-gradient family
-    /// `dX = dZ · Wᵀ` over transposed panels.
+    /// `out = a · P (+ bias)` — the forward gemm (the caller applies the
+    /// activation, as [`PackedDense::forward_into`] does). With
+    /// `bias: None` accumulator chains start at `+0.0` — the
+    /// input-gradient family `dX = dZ · Wᵀ` over transposed panels.
     ///
-    /// Row-invariant and bit-identical to the unpacked dispatch at the
-    /// same [`KernelTier`] (module docs).
+    /// Row-invariant and bit-identical to the scalar reference chain of
+    /// the current [`KernelTier`] (module docs).
     ///
     /// # Panics
-    /// Panics on shape mismatch (same message as the unpacked kernels —
+    /// Panics on shape mismatch (same message as [`Matrix::matmul`] —
     /// the engines' mismatched-model guards key on it).
     pub fn gemm_into(&self, a: &Matrix, bias: Option<&PackedBias>, out: &mut Matrix) {
         assert_eq!(
@@ -249,9 +258,9 @@ impl PackedWeights {
 
     /// `self += aᵀ · b` — the packed weight-gradient family
     /// (`dW += Xᵀ · dZ`), accumulating into these panels. `a` rows are
-    /// zero-skipped (ReLU activations make `X` sparse). SIMD tiers are
-    /// bit-identical to each other; the scalar tier matches the unpacked
-    /// scalar reference's multiply-then-add chains.
+    /// zero-skipped (ReLU activations make `X` sparse). Bit-identical to
+    /// the scalar reference chain of the current [`KernelTier`] (module
+    /// docs).
     ///
     /// # Panics
     /// Panics on shape mismatch.
@@ -285,9 +294,8 @@ impl PackedWeights {
         self.at_b_scalar(a, b);
     }
 
-    /// Portable forward/input-gradient kernel, replicating the unpacked
-    /// scalar kernel's chains exactly: initialize from the bias, then one
-    /// multiply-then-add per nonzero `x[k]`, `k` ascending.
+    /// Portable forward/input-gradient kernel: initialize from the bias,
+    /// then one multiply-then-add per nonzero `x[k]`, `k` ascending.
     fn gemm_scalar(&self, a: &Matrix, bias: Option<&PackedBias>, out: &mut Matrix) {
         for i in 0..a.rows() {
             let arow = a.row(i);
@@ -312,8 +320,7 @@ impl PackedWeights {
     }
 
     /// Portable weight-gradient kernel: multiply-then-add per nonzero
-    /// `a[r, n]`, `r` ascending — the unpacked broadcast reference's
-    /// chains.
+    /// `a[r, n]`, `r` ascending.
     fn at_b_scalar(&mut self, a: &Matrix, b: &Matrix) {
         for g in 0..self.groups {
             let lanes = (self.width - g * LANES).min(LANES);
@@ -785,9 +792,9 @@ impl PackedDense {
         self.act
     }
 
-    /// `out = act(x · W + b)` — the packed twin of
-    /// [`Dense::forward_into`]: panel gemm, then the same separate
-    /// activation pass over the output the unpacked dispatch performs.
+    /// `out = act(x · W + b)` (overwritten) — the serving and training
+    /// forward of one [`Dense`] layer: panel gemm, then one activation
+    /// pass over the output.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         self.w.gemm_into(x, Some(&self.b), out);
         if self.act != Activation::Identity {
@@ -853,8 +860,10 @@ impl PackedMlp {
         self.layers.len()
     }
 
-    /// Inference forward through pooled ping-pong buffers — the packed
-    /// twin of [`Mlp::forward_pooled`], used by every wavefront step.
+    /// Inference forward through pooled ping-pong buffers, used by every
+    /// wavefront step. Layer buffers (and the returned output) come from
+    /// `pool`, so a caller that `give`s the result back allocates nothing
+    /// in steady state; nothing is kept for a backward pass.
     pub fn forward_pooled(&self, x: &Matrix, pool: &mut BufferPool) -> Matrix {
         let rows = x.rows();
         let mut cur = pool.take(rows, self.layers[0].out_dim());
@@ -926,31 +935,214 @@ mod tests {
         }
     }
 
-    /// The tentpole contract: the packed forward is bit-identical to the
-    /// unpacked dispatch at the process tier — across shapes that hit
-    /// full groups, ragged groups, 4-row blocks and remainder rows. The
-    /// forced-scalar CI leg re-runs this with the scalar tier, where both
-    /// sides take the multiply-then-add scalar kernels.
-    #[test]
-    fn packed_forward_is_bitwise_equal_to_unpacked_dispatch() {
-        let mut rng = StdRng::seed_from_u64(23);
-        for (n, k, m) in [(1, 1, 1), (4, 7, 16), (5, 13, 17), (9, 128, 33), (32, 40, 24), (3, 8, 64)]
-        {
-            for act in [Activation::Relu, Activation::Identity] {
-                let d = random_dense(k, m, act, &mut rng);
-                let x = sparse(n, k, 0.4, &mut rng);
-                let mut want = Matrix::zeros(n, m);
-                match act {
-                    Activation::Identity => x.matmul_bias_act_into(&d.w, &d.b, |v| v, &mut want),
-                    a => x.matmul_bias_act_into(&d.w, &d.b, |v| a.apply(v), &mut want),
-                }
-                let p = PackedDense::pack(&d, false);
-                let mut got = Matrix::zeros(n, m);
-                p.forward_into(&x, &mut got);
-                for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "{n}x{k}x{m} {act:?}: {a} vs {b}");
+    /// Every kernel tier this host can run, lowest first (the process
+    /// dispatch may be clamped lower; the tests call bodies directly).
+    fn host_tiers() -> Vec<KernelTier> {
+        let hw = crate::tier::hardware_tier();
+        [KernelTier::Scalar, KernelTier::Avx2Fma, KernelTier::Avx512f]
+            .into_iter()
+            .filter(|&t| t <= hw)
+            .collect()
+    }
+
+    /// Runs `tier`'s forward/input-gradient body directly, bypassing
+    /// the process-wide dispatch.
+    fn gemm_at(
+        tier: KernelTier,
+        p: &PackedWeights,
+        a: &Matrix,
+        bias: Option<&PackedBias>,
+        out: &mut Matrix,
+    ) {
+        match tier {
+            KernelTier::Scalar => p.gemm_scalar(a, bias, out),
+            // SAFETY (both arms): `host_tiers` yields only tiers the
+            // hardware supports.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2Fma => unsafe { p.gemm_avx2(a, bias, out) },
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512f => unsafe { p.gemm_avx512(a, bias, out) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("SIMD tiers exist only on x86-64"),
+        }
+    }
+
+    /// Runs `tier`'s weight-gradient body directly.
+    fn at_b_at(tier: KernelTier, p: &mut PackedWeights, a: &Matrix, b: &Matrix) {
+        match tier {
+            KernelTier::Scalar => p.at_b_scalar(a, b),
+            // SAFETY (both arms): as in `gemm_at`.
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx2Fma => unsafe { p.at_b_avx2(a, b) },
+            #[cfg(target_arch = "x86_64")]
+            KernelTier::Avx512f => unsafe { p.at_b_avx512(a, b) },
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => unreachable!("SIMD tiers exist only on x86-64"),
+        }
+    }
+
+    /// One term of a reference chain: a single rounding (`mul_add`,
+    /// exactly a hardware FMA) on the SIMD tiers, multiply-then-add on
+    /// the scalar tier.
+    fn step(tier: KernelTier, acc: f32, x: f32, w: f32) -> f32 {
+        if tier.simd() {
+            x.mul_add(w, acc)
+        } else {
+            acc + x * w
+        }
+    }
+
+    /// The reference for `a · w (+ bias)` over logical indices: per
+    /// output element, start from the bias (or `+0.0`), then one
+    /// [`step`] per nonzero `a[i][k]`, `k` ascending.
+    fn reference_gemm(tier: KernelTier, a: &Matrix, w: &Matrix, bias: Option<&[f32]>) -> Matrix {
+        Matrix::from_fn(a.rows(), w.cols(), |i, j| {
+            let mut acc = bias.map_or(0.0, |b| b[j]);
+            for (k, &x) in a.row(i).iter().enumerate() {
+                if x != 0.0 {
+                    acc = step(tier, acc, x, w.get(k, j));
                 }
             }
+            acc
+        })
+    }
+
+    /// The reference for `aᵀ · b` accumulated from `+0.0`: per element
+    /// `(n, j)`, one [`step`] per nonzero `a[r][n]`, `r` ascending.
+    fn reference_at_b(tier: KernelTier, a: &Matrix, b: &Matrix) -> Matrix {
+        Matrix::from_fn(a.cols(), b.cols(), |n, j| {
+            let mut acc = 0.0;
+            for r in 0..a.rows() {
+                let x = a.get(r, n);
+                if x != 0.0 {
+                    acc = step(tier, acc, x, b.get(r, j));
+                }
+            }
+            acc
+        })
+    }
+
+    /// The reference forward of a whole MLP: [`reference_gemm`] plus the
+    /// activation, layer by layer.
+    fn reference_mlp(tier: KernelTier, mlp: &Mlp, x: &Matrix) -> Matrix {
+        let mut cur = x.clone();
+        for l in mlp.layers() {
+            cur = reference_gemm(tier, &cur, &l.w, Some(&l.b));
+            cur.map_inplace(|v| l.act.apply(v));
+        }
+        cur
+    }
+
+    /// The logical contents of a packed panel set.
+    fn unpack(p: &PackedWeights) -> Matrix {
+        Matrix::from_fn(p.depth(), p.width(), |k, j| p.get(k, j))
+    }
+
+    fn assert_bitwise(got: &Matrix, want: &Matrix, what: &str) {
+        assert_eq!((got.rows(), got.cols()), (want.rows(), want.cols()), "{what}: shape");
+        for (i, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what}, element {i}: {a} vs {b}");
+        }
+    }
+
+    /// Shapes that hit full groups, ragged groups, 4-row blocks and
+    /// remainder rows.
+    const SHAPES: [(usize, usize, usize); 8] = [
+        (1, 1, 1),
+        (4, 7, 16),
+        (5, 13, 17),
+        (9, 128, 33),
+        (32, 40, 24),
+        (3, 8, 64),
+        (4, 16, 16),
+        (2, 40, 64),
+    ];
+
+    /// The central contract: every packed body the host supports,
+    /// called directly, is bitwise-equal to its tier's reference chain —
+    /// the forward gemm with a bias and the weight-gradient gemm, across
+    /// [`SHAPES`] at sparsity 0.4. The two SIMD tiers share one
+    /// reference, so they are also bitwise-equal to each other.
+    #[test]
+    fn packed_tiers_are_bitwise_equal_to_scalar_fma_reference() {
+        let mut rng = StdRng::seed_from_u64(23);
+        for (n, k, m) in SHAPES {
+            for act in [Activation::Relu, Activation::Identity] {
+                let mut d = random_dense(k, m, act, &mut rng);
+                // Sparse weights, `-0.0` included: no kernel skips a
+                // zero weight, so none may perturb a chain.
+                d.w = sparse(k, m, 0.2, &mut rng);
+                let p = PackedDense::pack(&d, false);
+                let x = sparse(n, k, 0.4, &mut rng);
+                for tier in host_tiers() {
+                    let mut got = Matrix::zeros(n, m);
+                    gemm_at(tier, &p.w, &x, Some(&p.b), &mut got);
+                    let want = reference_gemm(tier, &x, &d.w, Some(&d.b));
+                    assert_bitwise(&got, &want, &format!("gemm {tier} {n}x{k}x{m}"));
+                }
+            }
+            let x = sparse(n, k, 0.4, &mut rng);
+            let dz = sparse(n, m, 0.3, &mut rng);
+            for tier in host_tiers() {
+                let mut g = PackedWeights::zeros(k, m);
+                at_b_at(tier, &mut g, &x, &dz);
+                let want = reference_at_b(tier, &x, &dz);
+                assert_bitwise(&unpack(&g), &want, &format!("at_b {tier} {n}x{k}x{m}"));
+            }
+        }
+    }
+
+    /// The dispatched [`PackedDense::forward_into`] (bias and activation
+    /// included) is bitwise-equal to the process tier's reference chain
+    /// over the unpacked weights, then activated. The forced-scalar CI
+    /// leg lowers the process tier to scalar.
+    #[test]
+    fn packed_forward_is_bitwise_equal_to_unpacked_dispatch() {
+        let mut rng = StdRng::seed_from_u64(29);
+        for (n, k, m) in SHAPES {
+            for act in [Activation::Relu, Activation::Identity] {
+                let d = random_dense(k, m, act, &mut rng);
+                let p = PackedDense::pack(&d, false);
+                let x = sparse(n, k, 0.4, &mut rng);
+                let mut want = reference_gemm(KernelTier::current(), &x, &d.w, Some(&d.b));
+                want.map_inplace(|v| act.apply(v));
+                let mut got = Matrix::zeros(n, m);
+                p.forward_into(&x, &mut got);
+                assert_bitwise(&got, &want, &format!("forward {n}x{k}x{m} {act:?}"));
+            }
+        }
+    }
+
+    /// The AVX2 and AVX-512 bodies, compared with each other directly
+    /// rather than through the reference: the forward gemm with a bias
+    /// over sparse weights, and the weight-gradient gemm. Needs both
+    /// tiers in hardware.
+    #[test]
+    fn packed_simd_tiers_are_bitwise_identical() {
+        if !host_tiers().contains(&KernelTier::Avx512f) {
+            return;
+        }
+        let (t2, t5) = (KernelTier::Avx2Fma, KernelTier::Avx512f);
+        let mut rng = StdRng::seed_from_u64(67);
+        for (n, kd, m) in [(5, 13, 17), (9, 128, 33), (4, 16, 16), (2, 40, 64)] {
+            let p = PackedWeights::pack(&sparse(kd, m, 0.2, &mut rng));
+            let bias = PackedBias::pack(
+                &(0..m).map(|_| (rng.gen::<f32>() - 0.5) * 0.8).collect::<Vec<_>>(),
+            );
+            let x = sparse(n, kd, 0.4, &mut rng);
+            let mut a2 = Matrix::zeros(n, m);
+            let mut a5 = Matrix::zeros(n, m);
+            gemm_at(t2, &p, &x, Some(&bias), &mut a2);
+            gemm_at(t5, &p, &x, Some(&bias), &mut a5);
+            assert_bitwise(&a2, &a5, &format!("gemm {n}x{kd}x{m}"));
+
+            let xt = sparse(n, kd, 0.5, &mut rng);
+            let dz = sparse(n, m, 0.3, &mut rng);
+            let mut g2 = PackedWeights::zeros(kd, m);
+            let mut g5 = PackedWeights::zeros(kd, m);
+            at_b_at(t2, &mut g2, &xt, &dz);
+            at_b_at(t5, &mut g5, &xt, &dz);
+            assert_bitwise(&unpack(&g2), &unpack(&g5), &format!("at_b {n}x{kd}x{m}"));
         }
     }
 
@@ -978,116 +1170,90 @@ mod tests {
         }
     }
 
-    /// The input-gradient gemm over transposed panels must agree with the
-    /// unpacked `dZ · Wᵀ` dispatch to float tolerance (the two use
-    /// different, but each internally deterministic, summation orders).
+    /// The input-gradient gemm over transposed panels is bitwise-equal
+    /// to the reference chain over `Wᵀ` at every host tier (and through
+    /// the dispatch), and the reference itself agrees with the unpacked
+    /// `dZ · Wᵀ` to float tolerance (that kernel sums dot products
+    /// without a zero skip or FMA).
     #[test]
     fn packed_backward_input_matches_unpacked_a_bt() {
         let mut rng = StdRng::seed_from_u64(41);
-        for (n, kd, m) in [(4, 33, 128), (3, 16, 17), (7, 9, 40), (1, 1, 1)] {
+        for (n, kd, m) in [(4, 33, 128), (3, 16, 17), (7, 9, 40), (1, 1, 1), (5, 40, 33)] {
             let d = random_dense(m, kd, Activation::Relu, &mut rng);
             let p = PackedDense::pack(&d, true);
+            let wt = d.w.transpose();
             let dz = sparse(n, kd, 0.5, &mut rng);
-            let mut want = Matrix::zeros(n, m);
-            dz.matmul_a_bt_into(&d.w, &mut want);
+            for tier in host_tiers() {
+                let mut got = Matrix::zeros(n, m);
+                gemm_at(tier, p.wt.as_ref().expect("packed with backward"), &dz, None, &mut got);
+                let want = reference_gemm(tier, &dz, &wt, None);
+                assert_bitwise(&got, &want, &format!("dX {tier} {n}x{kd}x{m}"));
+            }
+            let want = reference_gemm(KernelTier::current(), &dz, &wt, None);
             let mut got = Matrix::zeros(n, m);
             p.backward_input_into(&dz, &mut got);
-            for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
+            assert_bitwise(&got, &want, &format!("dispatched dX {n}x{kd}x{m}"));
+            for (a, b) in dz.matmul_a_bt(&d.w).as_slice().iter().zip(want.as_slice()) {
                 let rel = (a - b).abs() / (1.0 + a.abs().max(b.abs()));
                 assert!(rel < 1e-5, "{n}x{kd}x{m}: {a} vs {b} (rel {rel})");
             }
         }
     }
 
-    /// The packed weight-gradient accumulator must agree with the
-    /// unpacked `Xᵀ · dZ` dispatch to float tolerance, including its
-    /// accumulate-don't-overwrite contract.
+    /// The packed weight-gradient accumulator, folded onto a non-zero
+    /// `gw`, is bitwise-equal to `gw + ` the reference chain at every
+    /// host tier (the fold adds, never overwrites), and a zeroed panel
+    /// set folds to a no-op. The reference agrees with the unpacked
+    /// `Xᵀ · dZ` to float tolerance.
     #[test]
     fn packed_at_b_accumulates_like_unpacked() {
         let mut rng = StdRng::seed_from_u64(53);
-        for (rows, n, m) in [(9, 40, 33), (5, 16, 16), (12, 7, 17), (4, 128, 5)] {
+        for (rows, n, m) in [(9, 40, 33), (5, 16, 16), (12, 7, 17), (4, 128, 5), (6, 9, 48)] {
             let x = sparse(rows, n, 0.5, &mut rng);
             let dz = sparse(rows, m, 0.3, &mut rng);
             let seed = sparse(n, m, 0.0, &mut rng);
-            let mut want = seed.clone();
-            x.matmul_at_b_into(&dz, &mut want);
+            let fold = |p: &PackedWeights| {
+                let mut got = seed.clone();
+                p.add_unpacked_into(&mut got);
+                got
+            };
+            let want = |tier| {
+                let mut want = seed.clone();
+                want.add_scaled(&reference_at_b(tier, &x, &dz), 1.0);
+                want
+            };
             let mut packed = PackedWeights::zeros(n, m);
-            let mut got = seed.clone();
-            // Two half-accumulations: fold must add, not overwrite.
+            for tier in host_tiers() {
+                packed.fill_zero();
+                at_b_at(tier, &mut packed, &x, &dz);
+                let what = format!("gw {tier} {rows}x{n}x{m}");
+                assert_bitwise(&fold(&packed), &want(tier), &what);
+            }
+            let tier = KernelTier::current();
+            packed.fill_zero();
             packed.accumulate_at_b(&x, &dz);
-            packed.add_unpacked_into(&mut got);
-            for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
+            assert_bitwise(&fold(&packed), &want(tier), &format!("dispatched gw {rows}x{n}x{m}"));
+            let mut unpacked = seed.clone();
+            x.matmul_at_b_into(&dz, &mut unpacked);
+            for (a, b) in unpacked.as_slice().iter().zip(want(tier).as_slice()) {
                 let rel = (a - b).abs() / (1.0 + a.abs().max(b.abs()));
                 assert!(rel < 1e-5, "{rows}x{n}x{m}: {a} vs {b} (rel {rel})");
             }
             packed.fill_zero();
-            let before = got.clone();
-            packed.add_unpacked_into(&mut got);
-            assert_eq!(before, got, "zeroed panels must fold to a no-op");
-        }
-    }
-
-    /// On hosts with both SIMD tiers, the packed kernels must be
-    /// bit-identical across them (pure-FMA chains, lane position aside).
-    #[cfg(target_arch = "x86_64")]
-    #[test]
-    fn packed_simd_tiers_are_bitwise_identical() {
-        if !(is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx2")
-            && is_x86_feature_detected!("fma"))
-        {
-            return; // needs both tiers in hardware
-        }
-        let mut rng = StdRng::seed_from_u64(67);
-        for (n, kd, m) in [(5, 13, 17), (9, 128, 33), (4, 16, 16), (2, 40, 64)] {
-            let w = sparse(kd, m, 0.2, &mut rng);
-            let p = PackedWeights::pack(&w);
-            let bias = PackedBias::pack(
-                &(0..m).map(|_| (rng.gen::<f32>() - 0.5) * 0.8).collect::<Vec<_>>(),
-            );
-            let x = sparse(n, kd, 0.4, &mut rng);
-            let mut a2 = Matrix::zeros(n, m);
-            let mut a5 = Matrix::zeros(n, m);
-            // SAFETY: features checked above.
-            unsafe {
-                p.gemm_avx2(&x, Some(&bias), &mut a2);
-                p.gemm_avx512(&x, Some(&bias), &mut a5);
-            }
-            for (a, b) in a2.as_slice().iter().zip(a5.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "gemm {n}x{kd}x{m}: {a} vs {b}");
-            }
-
-            let xt = sparse(n, kd, 0.5, &mut rng);
-            let dz = sparse(n, m, 0.3, &mut rng);
-            let mut g2 = PackedWeights::zeros(kd, m);
-            let mut g5 = PackedWeights::zeros(kd, m);
-            // SAFETY: features checked above.
-            unsafe {
-                g2.at_b_avx2(&xt, &dz);
-                g5.at_b_avx512(&xt, &dz);
-            }
-            for (a, b) in g2.data.iter().zip(&g5.data) {
-                for (x2, x5) in a.0.iter().zip(&b.0) {
-                    assert_eq!(x2.to_bits(), x5.to_bits(), "at_b {n}x{kd}x{m}");
-                }
-            }
+            assert_eq!(fold(&packed), seed, "zeroed panels must fold to a no-op");
         }
     }
 
     #[test]
-    fn packed_mlp_forward_matches_unpacked_pooled_forward_bitwise() {
+    fn packed_mlp_forward_matches_reference_layer_chain_bitwise() {
         let mut rng = StdRng::seed_from_u64(71);
         let mlp = Mlp::new(&[19, 32, 33], Activation::Relu, Activation::Identity, Init::He, &mut rng);
         let packed = PackedMlp::pack(&mlp, false);
         assert_eq!((packed.in_dim(), packed.out_dim(), packed.num_layers()), (19, 33, 2));
         let x = sparse(6, 19, 0.4, &mut rng);
         let mut pool = BufferPool::new();
-        let want = mlp.forward_pooled(&x, &mut pool);
         let got = packed.forward_pooled(&x, &mut pool);
-        for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{a} vs {b}");
-        }
-        pool.give(want);
+        assert_bitwise(&got, &reference_mlp(KernelTier::current(), &mlp, &x), "mlp forward");
         pool.give(got);
         // Steady state: a second packed pass allocates nothing new.
         let before = pool.available();
@@ -1112,11 +1278,16 @@ mod tests {
             }
         }
         packed.repack_from(&mlp);
-        let want = mlp.forward_pooled(&x, &mut pool);
+        let tier = KernelTier::current();
         let got = packed.forward_pooled(&x, &mut pool);
-        for (a, b) in want.as_slice().iter().zip(got.as_slice()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        assert_bitwise(&got, &reference_mlp(tier, &mlp, &x), "forward after repack");
+        // The transposed (input-gradient) panels follow the update too.
+        let top = &mlp.layers()[1];
+        let dz = sparse(3, 5, 0.3, &mut rng);
+        let mut dx = Matrix::zeros(3, 16);
+        packed.layers()[1].backward_input_into(&dz, &mut dx);
+        let want = reference_gemm(tier, &dz, &top.w.transpose(), None);
+        assert_bitwise(&dx, &want, "dX after repack");
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Runtime SIMD kernel-tier detection and forced-dispatch override.
 //!
-//! The matrix kernels ([`crate::matrix`]) and the packed-panel kernels
-//! ([`crate::packed`]) pick their implementation per process from a
-//! three-level [`KernelTier`] ladder instead of the former boolean
-//! AVX2-or-scalar check:
+//! The packed-panel kernels ([`crate::packed`]) — the only SIMD code in
+//! the crate — pick their bodies per process from a three-level
+//! [`KernelTier`] ladder:
 //!
 //! * [`KernelTier::Scalar`] — portable Rust, no intrinsics;
-//! * [`KernelTier::Avx2Fma`] — 8-lane AVX2 + FMA (the PR-2 kernels);
-//! * [`KernelTier::Avx512f`] — 16-lane AVX-512F for the packed-panel
-//!   kernels (one cache-line-sized panel group per register). The
-//!   *unpacked* kernels keep their AVX2 bodies under this tier — the
-//!   AVX-512 win comes from the panel layout, and keeping one unpacked
-//!   body per family preserves the bitwise reference the packed kernels
-//!   are tested against.
+//! * [`KernelTier::Avx2Fma`] — two 8-lane AVX2 + FMA halves per panel
+//!   group;
+//! * [`KernelTier::Avx512f`] — one 16-lane AVX-512F register per panel
+//!   group (one cache line).
+//!
+//! The unpacked [`crate::Matrix`] kernels are scalar at every tier: they
+//! serve the per-class reference path, the Tree-LSTM and the ablations,
+//! none of which sits on a hot path. Every packed body is tested
+//! bit-for-bit against a scalar `f32::mul_add` reference (the SIMD
+//! tiers) or a multiply-then-add reference (the scalar tier).
 //!
 //! Detection runs once per process ([`KernelTier::current`], a
 //! `OnceLock`) and can be *lowered* — never raised past what the
@@ -40,8 +42,7 @@ pub enum KernelTier {
     Scalar,
     /// AVX2 + FMA kernels (8-lane).
     Avx2Fma,
-    /// AVX-512F packed-panel kernels (16-lane); unpacked kernels run
-    /// their AVX2 bodies.
+    /// AVX-512F packed-panel kernels (16-lane).
     Avx512f,
 }
 
@@ -103,9 +104,9 @@ fn parse_force(value: &str) -> Option<KernelTier> {
 
 /// What the hardware supports, ignoring the override. The AVX-512 tier
 /// additionally requires AVX2+FMA (true on every known avx512f part, but
-/// checked anyway — the unpacked kernels still dispatch AVX2 bodies
-/// under it).
-fn hardware_tier() -> KernelTier {
+/// checked anyway) so the ladder stays ordered: a greater tier can run
+/// every lesser tier's bodies.
+pub(crate) fn hardware_tier() -> KernelTier {
     #[cfg(target_arch = "x86_64")]
     {
         let avx2 = is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma");

@@ -20,7 +20,7 @@
 //!    itself is deterministic.
 //!
 //! CI runs this suite in release mode as well: the optimized build
-//! dispatches the AVX2+FMA microkernels, which is where the
+//! dispatches the packed-panel SIMD kernels, which is where the
 //! row-invariance half of the argument has teeth.
 
 use proptest::prelude::*;

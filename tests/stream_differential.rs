@@ -17,7 +17,7 @@
 //!    untouched by incremental maintenance.
 //!
 //! CI runs this suite in release mode as well: the optimized build
-//! dispatches the AVX2+FMA microkernel, which is exactly where the
+//! dispatches the packed-panel SIMD kernels, which is exactly where the
 //! row-invariance half of the argument has teeth.
 
 use proptest::prelude::*;
