@@ -36,8 +36,9 @@
 //!   `PlanProgram::compile` over resident + 1 plans (the acceptance bar
 //!   is `admit_one` ≥ 5x faster);
 //! * `stream` — end-to-end admission-control churn: every plan of the
-//!   mixed stream is admitted, scored (full resident run) and retired
-//!   past a 32-plan sliding window, against warm caches.
+//!   mixed stream is admitted, scored (a resident run of only the chunks
+//!   the arrival added) and retired past a 32-plan sliding window,
+//!   against warm caches.
 //! * `sharded_admit` — the shard-per-core front door for the same
 //!   steady-state arrival: admit + retire one plan through a
 //!   `ShardedStream` (content-hash routing on top of `admit_one`).
@@ -168,9 +169,10 @@ fn bench_mixed_stream(c: &mut Criterion) {
         drop(stream_ds);
 
         // End-to-end admission-control churn over the whole mixed stream:
-        // admit, score (a full resident-program run — the admission
-        // decision), retire past a 32-plan sliding window. Caches stay
-        // warm across iterations, as across a live stream.
+        // admit, score (the admission decision: a resident run of only
+        // the chunks this arrival added), retire past a 32-plan sliding
+        // window. Caches stay warm across iterations, as across a live
+        // stream.
         let mut churn_h = model_h.serve_stream();
         let mut churn_ds = model_ds.serve_stream();
         let mut window = std::collections::VecDeque::new();

@@ -37,7 +37,7 @@
 //!
 //! Predictions are **bit-identical** to a fresh
 //! [`crate::infer::PlanProgram::compile`] of the same resident set, at any
-//! thread count. Three facts compose into that guarantee:
+//! thread count. Four facts compose into that guarantee:
 //!
 //! 1. the packed gemm kernel is *row-invariant* — a row's output bits
 //!    depend only on its own input, the weights and the bias, never on
@@ -48,7 +48,17 @@
 //!    construction;
 //! 3. scheduling still runs heights strictly ascending, so every child
 //!    row is written before any parent reads it, exactly as in the batch
-//!    engine.
+//!    engine;
+//! 4. **freshness is monotone** — a computed output row stays valid for
+//!    as long as its node is resident, so a run executes only the chunks
+//!    that gained a member since the last run. A unit's output depends
+//!    only on its subtree; the weights are fixed for the builder's `'m`
+//!    borrow and feature rows are content-keyed; a freed row or chunk
+//!    slot is reused only by a newly placed node, which marks its chunk
+//!    stale; and swap-remove on retire moves a member's input row, never
+//!    its output row. A stale chunk reruns whole, which by fact 1 leaves
+//!    its fresh members' bits unchanged, and by fact 3 its children are
+//!    fresh or recomputed earlier in the same run.
 //!
 //! The differential suite (`tests/stream_differential.rs`) holds random
 //! admit/retire/predict interleavings to exact equality against fresh
@@ -107,7 +117,7 @@ struct Resident {
 /// Aggregate statistics of a [`ProgramBuilder`]'s resident program —
 /// the observability surface for streaming serving (`qpp predict
 /// --stream` prints this).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ProgramStats {
     /// Plans currently resident.
     pub resident_plans: usize,
@@ -139,6 +149,11 @@ pub struct ProgramStats {
     pub pred_cache_evictions: u64,
     /// Cumulative wall time of memo hits (key assembly + probe), ns.
     pub pred_cache_hit_ns: u64,
+    /// Cumulative gemm rows executed by resident runs (a chunk counts
+    /// all its members — it reruns whole when any member is new).
+    pub rows_run: u64,
+    /// Cumulative wavefront chunks executed by resident runs.
+    pub steps_run: u64,
 }
 
 impl ProgramStats {
@@ -179,7 +194,7 @@ impl std::fmt::Display for ProgramStats {
             f,
             "{} resident plans, {} nodes -> {} gemm rows (dedup {:.2}x), \
              {} steps / {} levels, feature cache {} shapes ({:.0}% hit), \
-             plan memo {} plans ({:.0}% hit)",
+             plan memo {} plans ({:.0}% hit), ran {} steps / {} rows",
             self.resident_plans,
             self.logical_nodes,
             self.shared_rows,
@@ -190,6 +205,8 @@ impl std::fmt::Display for ProgramStats {
             self.feat_hit_rate() * 100.0,
             self.pred_cache_entries,
             self.pred_hit_rate() * 100.0,
+            self.steps_run,
+            self.rows_run,
         )
     }
 }
@@ -395,10 +412,17 @@ pub struct ProgramBuilder<'m> {
     /// Live chunk ids per `(height, family)` wavefront; BTreeMap order is
     /// the execution order (heights ascending, families stable).
     wavefronts: BTreeMap<(u32, u8), Vec<u32>>,
+    /// Per-chunk staleness, parallel to `steps`: set when `place` writes
+    /// a new member, cleared once a run has computed the chunk (and when
+    /// the chunk empties). A run executes only stale chunks.
+    stale: Vec<bool>,
     /// Cached schedule (step ids per height level), rebuilt lazily after
     /// topology changes.
     levels: Vec<Vec<u32>>,
     schedule_dirty: bool,
+    /// Cumulative work of [`ProgramBuilder::run`] (see [`ProgramStats`]).
+    rows_run: u64,
+    steps_run: u64,
 
     /// Unique-subtree slab + free list.
     nodes: Vec<SharedNode>,
@@ -456,8 +480,11 @@ impl<'m> ProgramBuilder<'m> {
             step_nodes: Vec::new(),
             step_free: Vec::new(),
             wavefronts: BTreeMap::new(),
+            stale: Vec::new(),
             levels: Vec::new(),
             schedule_dirty: false,
+            rows_run: 0,
+            steps_run: 0,
             nodes: Vec::new(),
             node_free: Vec::new(),
             live_nodes: 0,
@@ -636,13 +663,17 @@ impl<'m> ProgramBuilder<'m> {
             pred_cache_misses: self.pred_cache.misses(),
             pred_cache_evictions: self.pred_cache.evictions(),
             pred_cache_hit_ns: self.pred_cache.hit_ns(),
+            rows_run: self.rows_run,
+            steps_run: self.steps_run,
         }
     }
 
     /// Decoded root-latency prediction (milliseconds) for one resident
-    /// plan, running the whole resident program once on the calling
-    /// thread. Clamped onto the structural envelope when the builder was
-    /// created with ratio caps (i.e. the model's configured policy).
+    /// plan, on the calling thread. Only the chunks holding rows admitted
+    /// since the last run execute; when every row is already computed
+    /// this is a decode. Clamped onto the structural envelope when the
+    /// builder was created with ratio caps (i.e. the model's configured
+    /// policy).
     pub fn predict_root(&mut self, id: PlanId) -> f64 {
         self.predict_root_threaded(id, 1)
     }
@@ -850,14 +881,31 @@ impl<'m> ProgramBuilder<'m> {
         self.pred_cache.insert(&self.key_scratch, latency_ms);
     }
 
-    /// Executes the resident program (rebuilding the level schedule if
-    /// admissions/retirements dirtied it), leaving every live output row
-    /// fresh for decoding.
+    /// True when some live chunk holds a row no run has computed yet.
+    fn has_stale(&self) -> bool {
+        self.stale.contains(&true)
+    }
+
+    /// Executes the stale chunks of the resident program (rebuilding the
+    /// level schedule if admissions/retirements dirtied it), leaving
+    /// every live output row fresh for decoding. Fresh chunks are skipped
+    /// — their rows are still what a full run would write (module docs,
+    /// fact 4) — and a program with nothing stale never reaches the
+    /// executor.
     fn run(&mut self, threads: usize) {
+        if !self.has_stale() {
+            return;
+        }
         self.ensure_schedule();
+        let todo: Vec<Vec<u32>> = self
+            .levels
+            .iter()
+            .map(|level| level.iter().copied().filter(|&s| self.stale[s as usize]).collect())
+            .filter(|level: &Vec<u32>| !level.is_empty())
+            .collect();
         run_schedule(
             &mut self.steps,
-            &self.levels,
+            &todo,
             &self.packed,
             &mut self.outputs,
             &mut self.pool,
@@ -865,6 +913,14 @@ impl<'m> ProgramBuilder<'m> {
             self.out_w,
             threads,
         );
+        // Cleared only now: a run that panicked above leaves its chunks
+        // stale, so the next predict recomputes rather than decoding
+        // half-written rows.
+        for &s in todo.iter().flatten() {
+            self.stale[s as usize] = false;
+            self.steps_run += 1;
+            self.rows_run += self.steps[s as usize].rows.len() as u64;
+        }
     }
 
     /// Decodes (and, under caps, envelope-clamps) one resident plan's
@@ -974,6 +1030,7 @@ impl<'m> ProgramBuilder<'m> {
                             input: Matrix::with_row_capacity(STEP_CHUNK_ROWS, in_dim),
                         });
                         self.step_nodes.push(Vec::with_capacity(STEP_CHUNK_ROWS));
+                        self.stale.push(true);
                         (self.steps.len() - 1) as u32
                     }
                 };
@@ -988,6 +1045,7 @@ impl<'m> ProgramBuilder<'m> {
         step.rows.push(row);
         step.child_rows.extend_from_slice(child_rows);
         self.step_nodes[sid as usize].push(nid);
+        self.stale[sid as usize] = true;
         (sid, slot as u32)
     }
 
@@ -1028,6 +1086,7 @@ impl<'m> ProgramBuilder<'m> {
             if wf.is_empty() {
                 self.wavefronts.remove(&(height, kind_idx));
             }
+            self.stale[sid] = false;
             self.step_free.push(sid as u32);
         }
         self.row_free.push(row);
@@ -1479,9 +1538,8 @@ impl<'m> ShardedStream<'m> {
     /// worker per shard, each shard's schedule sequential, so the bits
     /// match single-builder execution exactly (see the type docs).
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
-        let todo: Vec<usize> =
-            (0..self.shards.len()).filter(|&s| !self.shards[s].is_empty()).collect();
-        self.run_shards(&todo, threads);
+        let all: Vec<usize> = (0..self.shards.len()).collect();
+        self.run_shards(&all, threads);
         self.routes
             .values()
             .map(|&(shard, inner)| {
@@ -1521,22 +1579,7 @@ impl<'m> ShardedStream<'m> {
     /// and `levels` are per-shard program properties, so their sums
     /// describe total work per coalesced run, not one schedule).
     pub fn stats(&self) -> ProgramStats {
-        let mut agg = ProgramStats {
-            resident_plans: 0,
-            logical_nodes: 0,
-            shared_rows: 0,
-            steps: 0,
-            levels: 0,
-            feat_cache_entries: 0,
-            feat_cache_hits: 0,
-            feat_cache_misses: 0,
-            cse_hits: 0,
-            pred_cache_entries: 0,
-            pred_cache_hits: 0,
-            pred_cache_misses: 0,
-            pred_cache_evictions: 0,
-            pred_cache_hit_ns: 0,
-        };
+        let mut agg = ProgramStats::default();
         for s in &self.shards {
             let st = s.stats();
             agg.resident_plans += st.resident_plans;
@@ -1553,6 +1596,8 @@ impl<'m> ShardedStream<'m> {
             agg.pred_cache_misses += st.pred_cache_misses;
             agg.pred_cache_evictions += st.pred_cache_evictions;
             agg.pred_cache_hit_ns += st.pred_cache_hit_ns;
+            agg.rows_run += st.rows_run;
+            agg.steps_run += st.steps_run;
         }
         agg
     }
@@ -1563,17 +1608,21 @@ impl<'m> ShardedStream<'m> {
             .unwrap_or_else(|| panic!("plan {id:?} is not resident (already retired?)"))
     }
 
-    /// Runs the shards in `todo` (distinct indices), concurrently when
-    /// `threads > 1`: worker `w` executes shards `todo[w]`,
-    /// `todo[w + threads]`, … — each shard sequentially on that worker's
-    /// thread, so per-shard output bits are thread-count-invariant.
+    /// Runs the shards in `todo` (distinct indices) that have stale
+    /// chunks, concurrently when `threads > 1`: worker `w` executes the
+    /// `w`-th, `(w + threads)`-th, … of them — each shard sequentially on
+    /// that worker's thread, so per-shard output bits are
+    /// thread-count-invariant. Shards with nothing stale are dropped
+    /// before dispatch.
     fn run_shards(&mut self, todo: &[usize], threads: usize) {
+        let todo: Vec<usize> =
+            todo.iter().copied().filter(|&s| self.shards[s].has_stale()).collect();
         if todo.is_empty() {
             return;
         }
         let threads = threads.clamp(1, todo.len());
         if threads <= 1 {
-            for &s in todo {
+            for &s in &todo {
                 self.shards[s].run(1);
             }
             return;
@@ -2293,6 +2342,70 @@ mod tests {
             "rounds 2 and 3 must serve every member from the memo (got {})",
             front.stats().cache_hits
         );
+    }
+
+    #[test]
+    fn a_repeat_predict_runs_nothing() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+        let ids: Vec<PlanId> = ds.plans.iter().take(6).map(|p| builder.admit(&p.root)).collect();
+        let first = builder.predict_root(ids[0]);
+        let ran = builder.stats();
+        assert_eq!(ran.steps_run, ran.steps as u64, "the first run computes every chunk");
+        assert_eq!(ran.rows_run, ran.shared_rows as u64);
+        for &id in ids.iter().rev() {
+            builder.predict_root_threaded(id, 4);
+        }
+        assert_eq!(builder.predict_root(ids[0]).to_bits(), first.to_bits());
+        let again = builder.stats();
+        assert_eq!((again.steps_run, again.rows_run), (ran.steps_run, ran.rows_run));
+        assert!(again.to_string().contains(&format!("ran {} steps", ran.steps_run)));
+    }
+
+    #[test]
+    fn rows_freed_by_a_retire_are_recomputed_for_their_new_owner() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+        let mut by_size: Vec<&Plan> = ds.plans.iter().collect();
+        by_size.sort_by_key(|p| std::cmp::Reverse(p.node_count()));
+        let (a, b, c) = (by_size[0], by_size[1], by_size[by_size.len() - 1]);
+        let id_a = builder.admit(&a.root);
+        let id_b = builder.admit(&b.root);
+        builder.predict_roots();
+        let (high_water, chunks) = (builder.outputs.rows(), builder.steps.len());
+        builder.retire(id_a);
+        let id_c = builder.admit(&c.root);
+        assert_eq!(builder.outputs.rows(), high_water, "C must take A's freed rows");
+        assert_eq!(builder.steps.len(), chunks, "C must take A's freed chunk slots");
+        let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[b, c]);
+        let before = builder.stats().steps_run;
+        assert_eq!(builder.predict_root(id_c).to_bits(), fresh[1].to_bits());
+        let after_c = builder.stats().steps_run;
+        assert!(after_c > before, "C's chunks must run");
+        assert_eq!(builder.predict_root(id_b).to_bits(), fresh[0].to_bits());
+        assert_eq!(builder.stats().steps_run, after_c, "B is only decoded");
+    }
+
+    #[test]
+    fn a_memo_skipped_admission_is_computed_by_the_next_predict() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
+        let mut stream = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
+        let mut front = MicroBatcher::new();
+        for p in ds.plans.iter().take(4) {
+            // Warm the memo, leaving nothing resident.
+            front.submit(&p.root);
+            front.flush(&mut stream, 1);
+            let ran = stream.stats().steps_run;
+            front.submit(&p.root);
+            let (ids, preds) = front.flush_resident(&mut stream, 1);
+            assert_eq!(stream.stats().steps_run, ran, "a memo hit must skip the run");
+            let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[p]);
+            assert_eq!(preds[0].to_bits(), fresh[0].to_bits());
+            assert_eq!(stream.predict_root(ids[0]).to_bits(), fresh[0].to_bits());
+            assert!(stream.stats().steps_run > ran, "the skipped rows must run now");
+            stream.retire(ids[0]);
+        }
+        assert_eq!(front.stats().cache_hits, 4);
     }
 
     #[test]

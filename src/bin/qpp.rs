@@ -695,7 +695,8 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     println!(
         "kernel tier: {}; one path per verb: one-shot admit_predict takes the \
          zero-allocation fast path, anything else the general decoder; \
-         whole-plan prediction memo on every predict",
+         whole-plan prediction memo on every admit_predict; predict by id \
+         runs only the rows admitted since the last run",
         qpp::nn::KernelTier::current()
     );
     println!("protocol: one JSON object per line; send {{\"v\":1,\"op\":\"shutdown\"}} to stop");

@@ -1,24 +1,25 @@
 //! Differential tests for the serving daemon: random admit / retire /
 //! predict interleavings driven **through the socket** must produce
-//! predictions **bitwise-equal** to an in-process `ProgramBuilder`
-//! replaying the same sequence — at 1 and 4 wavefront threads, clamped
-//! and unclamped, over TCP loopback and unix sockets, on both request
-//! paths (the one-shot fast path and the general decoder).
+//! predictions **bitwise-equal** to scoring each plan alone with
+//! `QppNet::predict_batch` — at 1 and 4 wavefront threads, clamped and
+//! unclamped, over TCP loopback and unix sockets, on both request paths
+//! (the one-shot fast path and the general decoder).
 //!
-//! Why bit-equality survives the wire: the incremental/sharded engines
-//! are already bit-transparent against a single builder
+//! The oracle is the batch `PlanProgram` engine, never the resident
+//! `ProgramBuilder` the daemon runs: a bug in resident bookkeeping (a
+//! row decoded before it was computed, say) would show on both sides of
+//! a builder-vs-builder comparison and pass. Bit-equality survives the
+//! wire because every engine is bit-transparent against a fresh compile
 //! (`tests/stream_differential.rs`, `tests/executor_differential.rs`),
 //! and the vendored JSON formatter prints non-integral `f64`s with
 //! Rust's shortest-round-trip `Display`, which parses back to the exact
-//! bits. So the only thing this suite can catch — and the thing it is
-//! for — is the daemon layer itself (session maps, tenant routing,
-//! concurrent handlers) corrupting results.
+//! bits.
 
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use qpp::net::serve::{Client, ServeAddr, ServeConfig, Server};
-use qpp::net::{PlanId, QppConfig, QppNet};
+use qpp::net::{QppConfig, QppNet};
 use qpp::plansim::prelude::*;
 use rand::{Rng, SeedableRng};
 
@@ -47,9 +48,28 @@ fn fixture() -> &'static (Dataset, QppNet, QppNet) {
     })
 }
 
-/// Drives one random interleaving through a live daemon and mirrors
-/// every operation on an in-process builder, asserting bitwise-equal
-/// predictions at every step.
+/// The reference bits for `plan`: the batch engine scoring it alone.
+fn alone(model: &QppNet, plan: &Plan) -> u64 {
+    model.predict_batch(&[plan])[0].to_bits()
+}
+
+/// Shuts the daemon down if the test panics, so a failed assertion fails
+/// the test instead of leaving `thread::scope` joined on the server.
+struct ShutdownOnPanic<'a>(&'a ServeAddr);
+
+impl Drop for ShutdownOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            if let Ok(mut client) = Client::connect(self.0) {
+                let _ = client.set_timeout(Some(Duration::from_secs(5)));
+                let _ = client.shutdown();
+            }
+        }
+    }
+}
+
+/// Drives one random interleaving through a live daemon, asserting that
+/// every served prediction carries the bits of scoring that plan alone.
 fn served_bits_match_inprocess(
     addr: &ServeAddr,
     cfg: ServeConfig,
@@ -67,72 +87,86 @@ fn served_bits_match_inprocess(
     std::thread::scope(|scope| {
         let server = &server;
         scope.spawn(move || server.run().expect("server run"));
+        let _stop = ShutdownOnPanic(&addr);
 
         let mut client = Client::connect(&addr).expect("connect");
         client.set_timeout(Some(Duration::from_secs(30))).unwrap();
 
-        // The in-process reference: a single sequential builder.
-        let mut builder = model.serve_stream();
-        // Parallel session maps: wire id ↔ builder PlanId.
-        let mut resident: Vec<(u64, PlanId)> = Vec::new();
+        let expected: Vec<u64> = ds.plans.iter().map(|p| alone(model, p)).collect();
+        // Session map: wire id → picked plan.
+        let mut resident: Vec<(u64, usize)> = Vec::new();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
 
         for _ in 0..ops {
-            match rng.gen_range(0..4u32) {
+            match rng.gen_range(0..5u32) {
                 // Admit (repeats allowed — the CSE-heavy case).
                 0 => {
                     let pick = rng.gen_range(0..ds.plans.len());
-                    let plan = &ds.plans[pick].root;
-                    let wire = client.admit(plan).expect("admit");
-                    let pid = builder.admit(plan);
-                    resident.push((wire, pid));
+                    let wire = client.admit(&ds.plans[pick].root).expect("admit");
+                    resident.push((wire, pick));
                 }
                 // Retire a random resident plan.
                 1 if !resident.is_empty() => {
                     let victim = rng.gen_range(0..resident.len());
-                    let (wire, pid) = resident.remove(victim);
+                    let (wire, _) = resident.remove(victim);
                     client.retire(wire).expect("retire");
-                    builder.retire(pid);
                 }
                 // Predict a random resident plan: bits must match.
                 2 if !resident.is_empty() => {
-                    let &(wire, pid) = &resident[rng.gen_range(0..resident.len())];
+                    let (wire, pick) = resident[rng.gen_range(0..resident.len())];
                     let served = client.predict(wire).expect("predict");
-                    let local = builder.predict_root(pid);
                     assert_eq!(
                         served.to_bits(),
-                        local.to_bits(),
-                        "seed={seed} clamped={clamped}: served {served} != local {local}"
+                        expected[pick],
+                        "seed={seed} clamped={clamped} plan {pick}: served {served}"
                     );
                 }
+                // A kept admit_predict of a memoized plan: the memo
+                // answers and the server skips the run, so the predict
+                // by id that follows must compute the plan's rows.
+                3 => {
+                    let pick = rng.gen_range(0..ds.plans.len());
+                    let plan = &ds.plans[pick].root;
+                    client.admit_predict(plan, false).expect("memo warm-up");
+                    let hits = client.stats().expect("stats").cache_hits;
+                    let (kept, served) = client.admit_predict(plan, true).expect("admit_predict");
+                    assert_eq!(client.stats().expect("stats").cache_hits, hits + 1, "memo hit");
+                    let wire = kept.expect("keep=true replies with an id");
+                    let again = client.predict(wire).expect("predict");
+                    for v in [served, again] {
+                        assert_eq!(
+                            v.to_bits(),
+                            expected[pick],
+                            "seed={seed} clamped={clamped} plan {pick}: memo-kept {v}"
+                        );
+                    }
+                    resident.push((wire, pick));
+                }
                 // admit_predict: keep=false takes the fast path, keep=true
-                // the general decoder; bits must match admitting and
-                // predicting on the local builder either way.
+                // the general decoder; bits must match either way.
                 _ => {
                     let pick = rng.gen_range(0..ds.plans.len());
                     let keep = rng.gen_range(0..4u32) == 0;
-                    let plan = &ds.plans[pick].root;
-                    let (kept, served) = client.admit_predict(plan, keep).expect("admit_predict");
-                    let pid = builder.admit(plan);
-                    let local = builder.predict_root(pid);
+                    let (kept, served) =
+                        client.admit_predict(&ds.plans[pick].root, keep).expect("admit_predict");
                     match kept {
-                        Some(wire) if keep => resident.push((wire, pid)),
-                        None if !keep => builder.retire(pid),
+                        Some(wire) if keep => resident.push((wire, pick)),
+                        None if !keep => {}
                         other => panic!("keep={keep} replied with id {other:?}"),
                     }
                     assert_eq!(
                         served.to_bits(),
-                        local.to_bits(),
-                        "seed={seed} clamped={clamped} keep={keep}: {served} != local {local}"
+                        expected[pick],
+                        "seed={seed} clamped={clamped} keep={keep} plan {pick}: served {served}"
                     );
                 }
             }
         }
 
-        // Final checkpoint: every remaining resident plan, both ways.
-        for &(wire, pid) in &resident {
+        // Final checkpoint: every remaining resident plan.
+        for &(wire, pick) in &resident {
             let served = client.predict(wire).expect("final predict");
-            assert_eq!(served.to_bits(), builder.predict_root(pid).to_bits());
+            assert_eq!(served.to_bits(), expected[pick]);
         }
         client.shutdown().expect("shutdown");
     });
@@ -152,8 +186,7 @@ fn tcp_served_bits_match_inprocess_t1() {
 /// Both request paths for the same plans: `keep:false` forces the
 /// one-shot fast path on, `keep:true` forces it off (the general
 /// decoder and a resident flush). Each reply must carry the bits of
-/// serving that plan alone in-process, and the stats must show which
-/// path ran.
+/// scoring that plan alone, and the stats must show which path ran.
 #[test]
 fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
     let (ds, clamped_model, unclamped_model) = fixture();
@@ -176,9 +209,7 @@ fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
             let mut kept = Vec::new();
             for &pick in &picks {
                 let plan = &ds.plans[pick].root;
-                let mut solo = model.serve_stream();
-                let pid = solo.admit(plan);
-                let local = solo.predict_root(pid).to_bits();
+                let local = alone(model, &ds.plans[pick]);
 
                 let (id, fast) = client.admit_predict(plan, false).expect("fast path on");
                 assert_eq!(id, None, "keep=false must not keep the plan");
@@ -224,7 +255,7 @@ fn unix_socket_served_bits_match_inprocess() {
 
 /// Multi-tenant routing: two models co-hosted on one daemon, each
 /// client request explicitly targeting one tenant; every prediction
-/// must match that tenant's own in-process builder.
+/// must match that tenant's model scoring the plan alone.
 #[test]
 fn multi_tenant_served_bits_match_each_model() {
     let (ds, clamped_model, unclamped_model) = fixture();
@@ -244,21 +275,15 @@ fn multi_tenant_served_bits_match_each_model() {
 
         let mut client = Client::connect(&addr).expect("connect");
         client.set_timeout(Some(Duration::from_secs(30))).unwrap();
-        let mut builder_a = clamped_model.serve_stream();
-        let mut builder_b = unclamped_model.serve_stream();
-
         for (i, plan) in ds.plans.iter().take(10).enumerate() {
-            let (fp, builder) =
-                if i % 2 == 0 { (fp_a, &mut builder_a) } else { (fp_b, &mut builder_b) };
+            let (fp, model) =
+                if i % 2 == 0 { (fp_a, clamped_model) } else { (fp_b, unclamped_model) };
             let (_, served) =
                 client.admit_predict_to(&plan.root, false, Some(fp)).expect("routed predict");
-            let pid = builder.admit(&plan.root);
-            let local = builder.predict_root(pid);
-            builder.retire(pid);
             assert_eq!(
                 served.to_bits(),
-                local.to_bits(),
-                "tenant {fp:016x} plan {i}: served {served} != local {local}"
+                alone(model, plan),
+                "tenant {fp:016x} plan {i}: served {served}"
             );
         }
         client.shutdown().expect("shutdown");
@@ -278,13 +303,8 @@ fn concurrent_clients_are_bit_transparent() {
     server.register(model);
     let addr = server.local_addr().clone();
 
-    // Reference bits: each plan served alone on a fresh builder.
-    let mut reference = Vec::new();
-    for plan in ds.plans.iter().take(8) {
-        let mut b = model.serve_stream();
-        let pid = b.admit(&plan.root);
-        reference.push(b.predict_root(pid).to_bits());
-    }
+    // Reference bits: each plan scored alone.
+    let reference: Vec<u64> = ds.plans.iter().take(8).map(|p| alone(model, p)).collect();
 
     std::thread::scope(|scope| {
         let server = &server;

@@ -2,19 +2,24 @@
 //! admit/retire/predict interleavings through `ProgramBuilder` must
 //! produce predictions **bit-identical** to a fresh `PlanProgram::compile`
 //! of the same resident set — at 1 and 4 worker threads, unclamped and
-//! under the structural envelope.
+//! under the structural envelope. A predict runs only the chunks that
+//! gained members since the last run, so every interleaving here is also
+//! a test of those partial runs.
 //!
 //! This is a stronger contract than the batch engine's cross-engine
 //! agreement (`1e-5` relative vs `Classes`): the incremental program
-//! shares the batch engine's kernels exactly, and three facts make the
-//! re-chunked, row-recycled, CSE-shared layout bit-transparent:
+//! shares the batch engine's kernels exactly, and four facts make the
+//! re-chunked, row-recycled, CSE-shared, incrementally-run layout
+//! bit-transparent:
 //!
 //! 1. the fused gemm kernel is row-invariant (a row's bits do not depend
 //!    on its chunk, slot, or batch size — property-tested in `qpp_nn`);
 //! 2. feature-cache and CSE keys are lossless content encodings, so a hit
 //!    is bit-identical to recomputation;
 //! 3. heights still run strictly ascending, so data dependencies are
-//!    untouched by incremental maintenance.
+//!    untouched by incremental maintenance;
+//! 4. freshness is monotone: a computed row stays valid while its node is
+//!    resident, and a reused row or chunk slot is always marked stale.
 //!
 //! CI runs this suite in release mode as well: the optimized build
 //! dispatches the packed-panel SIMD kernels, which is exactly where the
@@ -22,7 +27,7 @@
 
 use proptest::prelude::*;
 use qpp::net::config::{TargetCodec, TargetTransform};
-use qpp::net::tree::fit_ratio_caps;
+use qpp::net::tree::{fit_ratio_caps, RatioCaps};
 use qpp::net::{PlanId, PlanProgram, ProgramBuilder, QppConfig, QppNet, UnitSet};
 use qpp::plansim::features::{Featurizer, Whitener};
 use qpp::plansim::prelude::*;
@@ -32,9 +37,32 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// Fresh-compile root predictions of `plans` (admission order), clamped
+/// when `caps` is given, on `threads` workers.
+fn fresh_roots(
+    fz: &Featurizer,
+    wh: &Whitener,
+    units: &UnitSet,
+    codec: &TargetCodec,
+    caps: Option<&RatioCaps>,
+    plans: &[&Plan],
+    threads: usize,
+) -> Vec<f64> {
+    let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
+    let mut fresh = PlanProgram::compile(fz, wh, units, &roots);
+    match caps {
+        Some(caps) => fresh.predict_roots_clamped_threaded(units, codec, caps, threads),
+        None => fresh.predict_roots_threaded(units, codec, threads),
+    }
+}
+
 /// Drives one random admit/retire/predict interleaving and, at every
 /// predict point, checks the builder against a fresh compile of exactly
-/// the resident set (in admission order) — bitwise, at 1 and 4 threads.
+/// the resident set (in admission order) — bitwise. A predict leaves
+/// every row computed, so one builder shared across thread counts would
+/// leave the second count nothing to run: each thread count (1 and 4)
+/// drives a builder of its own through the same op sequence, so partial
+/// runs are exercised at both.
 fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let ds = Dataset::generate(workload, 1.0, 20, seed);
     let fz = Featurizer::new(&ds.catalog);
@@ -47,40 +75,58 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
     let caps_opt = clamped.then_some(&caps);
 
-    let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt);
-    // The reference resident set, in admission order (ids parallel).
+    let mut builders: Vec<(usize, ProgramBuilder)> = [1usize, 4]
+        .into_iter()
+        .map(|threads| (threads, ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt)))
+        .collect();
+    // The reference resident set, in admission order. Every builder sees
+    // the same op sequence, so it hands out the same ids.
     let mut resident: Vec<(PlanId, usize)> = Vec::new();
     let mut op_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
 
     for _ in 0..24 {
-        let action: u32 = op_rng.gen_range(0..3);
+        let action: u32 = op_rng.gen_range(0..4);
         match action {
             // Admit a random plan from the pool (repeats deliberately
             // allowed — they are the CSE-heavy case).
             0 => {
                 let pick = op_rng.gen_range(0..ds.plans.len());
-                let id = builder.admit(&ds.plans[pick].root);
-                resident.push((id, pick));
+                let ids: Vec<PlanId> =
+                    builders.iter_mut().map(|(_, b)| b.admit(&ds.plans[pick].root)).collect();
+                assert!(ids.iter().all(|&id| id == ids[0]), "builders drifted apart");
+                resident.push((ids[0], pick));
             }
             // Retire a random resident plan.
             1 if !resident.is_empty() => {
                 let victim = op_rng.gen_range(0..resident.len());
                 let (id, _) = resident.remove(victim);
-                builder.retire(id);
+                for (_, b) in &mut builders {
+                    b.retire(id);
+                }
             }
-            // Predict and differentiate against a fresh compile.
+            // Predict one random resident plan — the same plan is
+            // predicted again and again with admits and retires between.
+            2 if !resident.is_empty() => {
+                let i = op_rng.gen_range(0..resident.len());
+                let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
+                for (threads, b) in &mut builders {
+                    let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans, *threads);
+                    let got = b.predict_root_threaded(resident[i].0, *threads);
+                    assert_eq!(
+                        got.to_bits(),
+                        want[i].to_bits(),
+                        "plan {i} of {}, {threads} threads, clamped={clamped}: \
+                         incremental predict_root diverged from fresh compile",
+                        resident.len()
+                    );
+                }
+            }
+            // Predict every resident plan.
             _ => {
                 let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
-                let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
-                let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
-                for threads in [1usize, 4] {
-                    let want = match caps_opt {
-                        Some(caps) => {
-                            fresh.predict_roots_clamped_threaded(&units, &codec, caps, threads)
-                        }
-                        None => fresh.predict_roots_threaded(&units, &codec, threads),
-                    };
-                    let got = builder.predict_roots_threaded(threads);
+                for (threads, b) in &mut builders {
+                    let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans, *threads);
+                    let got = b.predict_roots_threaded(*threads);
                     assert_eq!(
                         bits(&got),
                         bits(&want),
@@ -101,12 +147,14 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
         Some(caps) => fresh.predict_all_clamped(&units, &codec, caps),
         None => fresh.predict_all(&units, &codec),
     };
-    for (i, &(id, _)) in resident.iter().enumerate() {
-        assert_eq!(
-            bits(&builder.predict_all(id)),
-            bits(&want_all[i]),
-            "plan {i}: per-operator predictions diverged"
-        );
+    for (threads, b) in &mut builders {
+        for (i, &(id, _)) in resident.iter().enumerate() {
+            assert_eq!(
+                bits(&b.predict_all_threaded(id, *threads)),
+                bits(&want_all[i]),
+                "plan {i}, {threads} threads: per-operator predictions diverged"
+            );
+        }
     }
 }
 
