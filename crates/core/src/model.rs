@@ -617,6 +617,18 @@ mod tests {
         }
     }
 
+    /// A checkpoint is a fixed point of `to_json` ∘ `from_json`: every
+    /// weight, statistic and config field re-serializes to the same bytes.
+    #[test]
+    fn json_checkpoint_round_trip_is_byte_identical() {
+        let ds = dataset();
+        let mut model = QppNet::new(fast(2), &ds.catalog);
+        model.fit(&ds.plans.iter().take(20).collect::<Vec<_>>());
+        let json = model.to_json();
+        let again = QppNet::from_json(&json).unwrap().to_json();
+        assert!(again == json, "re-serialized checkpoint differs ({} vs {} bytes)", again.len(), json.len());
+    }
+
     #[test]
     fn warm_start_transfers_behaviour_and_allows_fine_tuning() {
         let ds = dataset();

@@ -341,9 +341,17 @@ pub mod proto {
         Value::Object(m)
     }
 
+    fn missing(key: &str) -> ErrorReply {
+        ErrorReply::new(ErrorCode::BadRequest, format!("missing `{key}`"))
+    }
+
     fn get<'v>(m: &'v Map, key: &str) -> Result<&'v Value, ErrorReply> {
-        m.get(key)
-            .ok_or_else(|| ErrorReply::new(ErrorCode::BadRequest, format!("missing `{key}`")))
+        m.get(key).ok_or_else(|| missing(key))
+    }
+
+    /// Moves `key`'s value out of a request map (same error as [`get`]).
+    fn take(m: &mut Map, key: &str) -> Result<Value, ErrorReply> {
+        m.remove(key).ok_or_else(|| missing(key))
     }
 
     fn check_version(m: &Map) -> Result<(), ErrorReply> {
@@ -356,8 +364,10 @@ pub mod proto {
         }
     }
 
-    fn decode_plan(v: &Value) -> Result<Box<PlanNode>, ErrorReply> {
-        serde_json::from_value::<PlanNode>(v.clone())
+    /// Deserializes a plan moved out of its request map, so the plan's
+    /// `Value` tree is never deep-cloned.
+    fn decode_plan(v: Value) -> Result<Box<PlanNode>, ErrorReply> {
+        serde_json::from_value::<PlanNode>(v)
             .map(Box::new)
             .map_err(|e| ErrorReply::new(ErrorCode::InvalidPlan, format!("bad plan: {e}")))
     }
@@ -411,12 +421,15 @@ pub mod proto {
     /// limits; this applies the nesting guard, parses, and validates the
     /// schema.
     pub fn decode_request(line: &str) -> Result<Request, ErrorReply> {
-        let val = parse_guarded(line)?;
+        let mut val = parse_guarded(line)?;
         let m = val
-            .as_object()
+            .as_object_mut()
             .ok_or_else(|| ErrorReply::new(ErrorCode::BadRequest, "request must be an object"))?;
         check_version(m)?;
-        let op = get(m, "op")?
+        // `op` and `plan` are moved out of the map (no later check reads
+        // them), so the plan tree is handed to the deserializer uncloned.
+        let op = take(m, "op")?;
+        let op = op
             .as_str()
             .ok_or_else(|| ErrorReply::new(ErrorCode::BadRequest, "`op` must be a string"))?;
         let tenant = match m.get("tenant") {
@@ -424,7 +437,7 @@ pub mod proto {
             None => None,
         };
         match op {
-            "admit" => Ok(Request::Admit { plan: decode_plan(get(m, "plan")?)?, tenant }),
+            "admit" => Ok(Request::Admit { plan: decode_plan(take(m, "plan")?)?, tenant }),
             "retire" => Ok(Request::Retire { id: decode_id(get(m, "id")?)? }),
             "predict" => Ok(Request::Predict { id: decode_id(get(m, "id")?)? }),
             "admit_predict" => {
@@ -438,7 +451,7 @@ pub mod proto {
                         ))
                     }
                 };
-                Ok(Request::AdmitPredict { plan: decode_plan(get(m, "plan")?)?, keep, tenant })
+                Ok(Request::AdmitPredict { plan: decode_plan(take(m, "plan")?)?, keep, tenant })
             }
             "stats" => Ok(Request::Stats),
             "shutdown" => Ok(Request::Shutdown),
@@ -1059,18 +1072,6 @@ fn write_reply(conn: &mut Conn, resp: &Response, out: &mut Vec<u8>) -> io::Resul
     conn.write_all(out)
 }
 
-/// Writes an `f64` exactly as the vendored JSON writer does: integral
-/// values with magnitude below 2^53 print as integers, everything else
-/// via shortest-round-trip `Display`. Streams into `out` without
-/// allocating. The caller has already rejected non-finite values.
-fn write_wire_f64(n: f64, out: &mut Vec<u8>) {
-    if n.fract() == 0.0 && n.abs() < 9.0e15 {
-        let _ = write!(out, "{}", n as i64);
-    } else {
-        let _ = write!(out, "{n}");
-    }
-}
-
 /// The `internal` reply for a prediction the wire cannot carry: the
 /// model produced a non-finite latency (the oracle encoder refuses
 /// those, and a plausible-looking number would be worse).
@@ -1326,13 +1327,15 @@ impl<'m> Server<'m> {
         };
         // Hand-rolled reply, field order matching the oracle encoder's
         // BTreeMap (alphabetical) serialization of
-        // `Response::Predicted { id: None, .. }`.
+        // `Response::Predicted { id: None, .. }`. Numbers go through
+        // `serde::JsonNumber`, the number format the oracle encoder
+        // writes; it streams into `out` without allocating.
         let t1 = Instant::now();
         out.clear();
         out.extend_from_slice(b"{\"latency_ms\":");
-        write_wire_f64(run.latency_ms, out);
+        let _ = write!(out, "{}", serde::JsonNumber(run.latency_ms));
         out.extend_from_slice(b",\"ok\":true,\"op\":\"predict\",\"v\":");
-        write_wire_f64(proto::VERSION as f64, out);
+        let _ = write!(out, "{}", serde::JsonNumber(proto::VERSION as f64));
         out.extend_from_slice(b"}\n");
         let serialize_ns = t1.elapsed().as_nanos() as u64;
         self.fast.predicted.fetch_add(1, Ordering::Relaxed);

@@ -669,22 +669,31 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 
     // One or more fitted model snapshots; the first is the default
-    // tenant, the rest are addressable by fingerprint.
+    // tenant, the rest are addressable by fingerprint. Each keeps how
+    // its checkpoint loaded (bytes, read and parse times) for the log.
     let mut models = Vec::new();
     for path in get(flags, "model")?.split(',') {
+        let t0 = std::time::Instant::now();
         let json = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+        let t1 = std::time::Instant::now();
         let model = QppNet::from_json(&json).map_err(|e| format!("parsing {path}: {e}"))?;
+        let load = (json.len(), t1 - t0, t1.elapsed());
         if !model.is_fitted() {
             return Err(format!("{path}: model is not fitted"));
         }
-        models.push((path.to_string(), model));
+        models.push((path.to_string(), model, load));
     }
 
     let mut server =
         Server::bind(&addr, cfg.clone()).map_err(|e| format!("binding {addr}: {e}"))?;
-    for (path, model) in &models {
+    for (path, model, (bytes, read, parse)) in &models {
         let fp = server.register(model);
-        println!("tenant {fp:016x} <- {path}");
+        println!(
+            "tenant {fp:016x} <- {path} ({:.1} MB checkpoint, read {:.0} ms, parse {:.0} ms)",
+            *bytes as f64 / 1e6,
+            read.as_secs_f64() * 1e3,
+            parse.as_secs_f64() * 1e3
+        );
     }
     println!(
         "qpp serve: listening on {} ({} shards, {} threads)",

@@ -13,7 +13,10 @@ use std::time::Duration;
 
 use qpp::net::serve::proto::{self, Request};
 use qpp::net::serve::scratch::{FastDecode, RequestScratch};
-use qpp::net::serve::{validate_plan, Client, ClientError, ErrorCode, ServeAddr, ServeConfig, Server};
+use qpp::net::serve::{
+    validate_plan, Client, ClientError, ErrorCode, Response, ServeAddr, ServeConfig, Server,
+    MAX_LINE_DEFAULT,
+};
 use qpp::net::{QppConfig, QppNet};
 use qpp::plansim::operators::Operator;
 use qpp::plansim::plan::PlanNode;
@@ -156,6 +159,40 @@ fn oversized_line_resyncs_the_connection() {
         let (_, latency) = client.admit_predict(&ds.plans[2].root, false).expect("resynced");
         assert!(latency.is_finite());
     });
+}
+
+/// A line just under the default cap whose bulk is one string field is
+/// answered within the client timeout. The JSON parser copies a run of
+/// raw string characters in one step; a parser that re-validated the
+/// rest of the line for every character spent CPU quadratic in the
+/// string's length (tens of seconds for this line) on the handler thread.
+/// Another connection keeps getting bit-identical predictions meanwhile.
+#[test]
+fn string_line_at_the_cap_is_answered_within_the_client_timeout() {
+    let (ds, _) = fixture();
+    let mut big_reply = None;
+    with_server(ServeConfig::default(), |addr| {
+        let mut other = Client::connect(addr).expect("connect");
+        other.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        let before = other.admit_predict(&ds.plans[0].root, false).expect("before").1;
+
+        let (head, tail) = (r#"{"v":1,"op":"stats","pad":""#, r#""}"#);
+        let pad = "a".repeat(MAX_LINE_DEFAULT - 64 - head.len() - tail.len());
+        let line = format!("{head}{pad}{tail}");
+        let mut big = Client::connect(addr).expect("connect");
+        big.set_timeout(Some(Duration::from_secs(10))).unwrap();
+        big.send_raw(&line).expect("send");
+
+        let after = other.admit_predict(&ds.plans[0].root, false).expect("during").1;
+        assert_eq!(before.to_bits(), after.to_bits(), "service disturbed by the long line");
+        // Asserted after shutdown, so a timeout fails the test instead of
+        // leaving the scope waiting on a daemon nobody stops.
+        big_reply = Some(big.recv());
+    });
+    match big_reply.expect("the client ran") {
+        Ok(Response::Stats(_)) => {}
+        other => panic!("expected a stats reply within 10 s, got {other:?}"),
+    }
 }
 
 /// A client vanishing mid-request (partial line, no newline, socket
