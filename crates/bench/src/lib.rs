@@ -18,8 +18,6 @@
 #![warn(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod load;
-
 use qpp_baselines::rbf::RbfModel;
 use qpp_baselines::svm::SvmModel;
 use qpp_baselines::tam::TamModel;
@@ -218,8 +216,9 @@ pub fn fmt_minutes(ms: f64) -> String {
 /// `BENCH_train.json`): the criterion bench mains convert the vendored
 /// harness's measurement records into [`bench_json::BenchRow`]s and
 /// persist them, so the perf trajectory is recorded as data across PRs
-/// instead of living only in README tables. [`bench_json::write`] also
-/// writes the load harness's `BENCH_serve.json` rows.
+/// instead of living only in README tables. Serving is measured end to
+/// end by the separate `perfbench/` benchmark, which writes no artifact
+/// here.
 pub mod bench_json {
     use serde::Serialize;
 
@@ -273,7 +272,7 @@ pub mod bench_json {
     /// Panics if no workspace root is found or the file cannot be
     /// written — a bench artifact silently missing is worse than a
     /// failed bench run.
-    pub fn write<T: Serialize>(file_name: &str, rows: &[T]) {
+    pub fn write(file_name: &str, rows: &[BenchRow]) {
         let root = crate::workspace_root()
             .expect("no Cargo.toml with a [workspace] table above the current directory");
         let path = root.join(file_name);
@@ -297,7 +296,7 @@ pub mod bench_json {
 /// (the directory itself included) whose `Cargo.toml` has a
 /// `[workspace]` table, or `None` outside any workspace. Resolved at run
 /// time, so a bench binary built in one tree and run from a copy writes
-/// its artifacts into, and stamps the commit of, the copy.
+/// its artifacts into the copy.
 pub fn workspace_root() -> Option<std::path::PathBuf> {
     find_workspace_root(&std::env::current_dir().ok()?)
 }

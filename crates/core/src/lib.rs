@@ -94,8 +94,8 @@ pub use metrics::{evaluate, r_cdf, r_factor, Metrics};
 pub use model::{QppNet, Tenants};
 pub use serve::{Client, ServeAddr, ServeConfig, Server};
 pub use stream::{
-    plan_shard_hash, MicroBatchStats, MicroBatcher, OneshotRun, PlanId, ProgramBuilder,
-    ProgramStats, ScratchPlan, ShardedStream,
+    MicroBatchStats, MicroBatcher, OneshotRun, PlanId, ProgramBuilder, ProgramStats, ScratchPlan,
+    ShardedStream,
 };
 pub use train::{predict_plans, TrainHistory, TrainStats, Trainer};
 pub use train_program::ProgramTape;

@@ -29,11 +29,13 @@
 //!   `internal` error too, never a number.
 //! * **Fast path** ([`scratch`], DESIGN.md §13): one-shot
 //!   `admit_predict` lines parse directly into per-connection scratch
-//!   CSR arrays, run `ShardedStream::predict_oneshot` without touching a
-//!   builder, and reply from a reused buffer in one write — zero heap
-//!   allocations per request at steady state (after a per-connection
-//!   warmup window; measured by the `steady_allocs` counter and a
-//!   regression test). Anything the scratch decoder cannot prove
+//!   CSR arrays, run `ShardedStream::predict_oneshot` — a whole-plan
+//!   memo probe, and on a miss admit → run → retire on the shard's
+//!   resident builder — and reply from a reused buffer in one write. A
+//!   memo hit makes zero heap allocations at steady state (after a
+//!   per-connection warmup window; measured by the `steady_allocs`
+//!   counter and a regression test); a miss allocates in admission.
+//!   Anything the scratch decoder cannot prove
 //!   eligible falls back to the general decoder, so error replies come
 //!   from exactly one code path and stay byte-identical.
 //! * **Why served bits equal in-process bits**: the wavefront kernels
@@ -254,22 +256,25 @@ pub mod proto {
         pub logical_nodes: u64,
         /// Physical feature rows after CSE, across all tenants.
         pub shared_rows: u64,
-        /// One-shot `admit_predict` replies served by the zero-allocation
-        /// fast path (scratch decode → one-shot run → hand-rolled reply).
+        /// One-shot `admit_predict` replies served by the fast path
+        /// (scratch decode → memo probe or resident admit/run/retire →
+        /// hand-rolled reply).
         pub fast_path_predicted: u64,
         /// Cumulative wall time decoding fast-path request lines (ns).
         pub parse_ns: u64,
-        /// Cumulative wall time featurizing fast-path plans (ns).
+        /// Cumulative wall time admitting fast-path memo misses into the
+        /// resident builder (ns).
         pub featurize_ns: u64,
-        /// Cumulative wall time in fast-path forward runs (ns).
+        /// Cumulative wall time of fast-path memo misses' run + decode +
+        /// retire (ns).
         pub run_ns: u64,
         /// Cumulative wall time serializing fast-path replies (ns).
         pub serialize_ns: u64,
         /// Heap allocations observed across whole fast-path request
         /// lifecycles (read → decode → run → reply write) after each
-        /// connection's warmup window. Stays 0 at steady state on a
-        /// warmed plan mix; novel feature rows still cost their
-        /// one-time cache inserts.
+        /// connection's warmup window. Stays 0 while every request hits
+        /// the whole-plan memo; a miss allocates in its resident
+        /// admission.
         pub steady_allocs: u64,
         /// Predict requests answered from the whole-plan prediction memo
         /// ([`qppnet::stream::PredictionCache`](crate::stream::PredictionCache)),
@@ -1283,7 +1288,7 @@ impl<'m> Server<'m> {
         }
     }
 
-    /// Attempts the zero-allocation fast path on one request line. On
+    /// Attempts the fast path on one request line. On
     /// success the complete reply line (newline included) is in `out`.
     /// Any ineligibility — decode fallback, unknown tenant, no
     /// registered models, non-finite prediction, panicked run — returns

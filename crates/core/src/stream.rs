@@ -66,7 +66,7 @@
 
 use crate::config::TargetCodec;
 use crate::infer::{clamp_plan_envelope, run_schedule, Step, STEP_CHUNK_ROWS};
-use crate::lower::{lower, Lowering, NodeContentKey, SubtreeKey};
+use crate::lower::{Lowering, NodeContentKey, SubtreeKey};
 use qpp_plansim::util::Fnv1a;
 use crate::tree::RatioCaps;
 use crate::unit::{PackedUnits, UnitSet};
@@ -282,7 +282,8 @@ impl PredictionCache {
     }
 
     /// Routing digest of a key's words (FNV-1a, same mixer as
-    /// [`plan_shard_hash`] — deterministic across platforms and runs).
+    /// [`ScratchPlan::shard_hash`] — deterministic across platforms and
+    /// runs).
     fn digest(key: &[u64]) -> u64 {
         let mut h = Fnv1a::new();
         for &w in key {
@@ -435,8 +436,8 @@ pub struct ProgramBuilder<'m> {
     feat_cache: FeatureCache<NodeContentKey>,
     feat_scratch: Vec<f32>,
     child_scratch: Vec<usize>,
-    /// One-shot predict buffers (see [`ProgramBuilder::predict_oneshot`]).
-    oneshot: OneshotScratch,
+    /// Reusable lowering target of [`ProgramBuilder::admit`].
+    tree_scratch: ScratchPlan,
     /// Whole-plan → prediction memo (see [`PredictionCache`]).
     pred_cache: PredictionCache,
     /// Reusable whole-plan key words; a warm probe assembles the key
@@ -493,7 +494,7 @@ impl<'m> ProgramBuilder<'m> {
             feat_cache: FeatureCache::new(),
             feat_scratch: Vec::new(),
             child_scratch: Vec::new(),
-            oneshot: OneshotScratch::default(),
+            tree_scratch: ScratchPlan::new(),
             pred_cache: PredictionCache::new(),
             key_scratch: Vec::new(),
             outputs: Matrix::zeros(0, out_w),
@@ -516,17 +517,27 @@ impl<'m> ProgramBuilder<'m> {
     /// (a malformed plan), or if feature sizes disagree with the fitted
     /// model (a featurizer/model mismatch).
     pub fn admit(&mut self, root: &PlanNode) -> PlanId {
-        let nodes_po = root.postorder();
-        let lowering = lower(root);
-        let n = nodes_po.len();
+        let mut plan = std::mem::take(&mut self.tree_scratch);
+        plan.rebuild_from_tree(root);
+        let id = self.admit_plan(&plan);
+        self.tree_scratch = plan;
+        id
+    }
+
+    /// [`ProgramBuilder::admit`] of a plan already in [`ScratchPlan`]
+    /// form — the one admission core behind every surface (tree admits,
+    /// sharded and micro-batched admits, one-shot predicts).
+    fn admit_plan(&mut self, plan: &ScratchPlan) -> PlanId {
+        let n = plan.len();
+        let lowering = plan.lowering();
         // Validate the whole plan BEFORE touching any builder state, so a
         // rejection is atomic — a caller that catches the panic keeps a
         // consistent resident program with no orphaned rows. Two checks,
         // both hard asserts exactly as in `PlanProgram::compile`: arity
         // (plans can arrive from unvalidated JSON) and the
         // featurizer-vs-model shape agreement (a miswired builder).
-        for (k, node) in nodes_po.iter().enumerate() {
-            let kind = node.op.kind();
+        assert!(n > 0, "plans are non-empty");
+        for (k, &kind) in plan.kinds().iter().enumerate() {
             assert_eq!(
                 lowering.children_of(k).len(),
                 kind.arity(),
@@ -542,14 +553,12 @@ impl<'m> ProgramBuilder<'m> {
         }
         let mut node_ids: Vec<u32> = Vec::with_capacity(n);
         let mut rows: Vec<usize> = Vec::with_capacity(n);
-        let mut kinds: Vec<OpKind> = Vec::with_capacity(n);
         let mut feat = std::mem::take(&mut self.feat_scratch);
         let mut child_rows = std::mem::take(&mut self.child_scratch);
 
-        for (k, node) in nodes_po.iter().enumerate() {
-            let kind = node.op.kind();
-            kinds.push(kind);
-            let content = NodeContentKey::of(node);
+        for (k, node) in plan.nodes().iter().enumerate() {
+            let kind = plan.kinds[k];
+            let content = plan.contents[k];
             let children: Vec<u32> =
                 lowering.children_of(k).iter().map(|&c| node_ids[c]).collect();
             let key = SubtreeKey { content, children };
@@ -589,7 +598,9 @@ impl<'m> ProgramBuilder<'m> {
         self.schedule_dirty = true;
         let id = self.next_id;
         self.next_id += 1;
-        self.plans.insert(id, Resident { lowering, kinds, node_ids, rows });
+        let resident =
+            Resident { lowering: lowering.clone(), kinds: plan.kinds.clone(), node_ids, rows };
+        self.plans.insert(id, resident);
         PlanId(id)
     }
 
@@ -712,95 +723,35 @@ impl<'m> ProgramBuilder<'m> {
         self.decode_plan(id)
     }
 
-    /// One-shot root prediction of a non-resident plan: featurizes
-    /// through the shared feature cache and runs the packed kernels over
-    /// the plan's post order directly — no admission, no wavefront
-    /// placement, no retire compaction, and (warm) no allocation. This is
-    /// the serve fast path behind `admit_predict` with immediate retire.
-    ///
-    /// # Bitwise equality
-    ///
-    /// The result equals `admit` → `predict_root` → `retire` bit for bit:
-    /// the feature cache is keyed by the lossless [`NodeContentKey`]
-    /// (identical feature bits either way), the packed kernels are
-    /// row-invariant (a node's 1-row forward here produces the same bits
-    /// as its slot in a chunked wavefront gemm, because the input row —
-    /// feature prefix ⌢ child output blocks — is identical by induction
-    /// over heights), and decode/clamp are the same code. The differential
-    /// suite (`tests/serve_scratch.rs`) holds this across kernel tiers.
+    /// One-shot root prediction of a non-resident plan: a whole-plan memo
+    /// probe, and on a miss admit → run → decode → retire on this
+    /// builder, then a memo insert. The run executes only stale chunks
+    /// (module docs, fact 4), so against a freshly-run resident program
+    /// it computes just the chunks the plan's new rows joined; rows the
+    /// plan shares with resident plans (CSE) are read, not recomputed.
+    /// This is the serve fast path behind `admit_predict` with immediate
+    /// retire; the result equals `admit` → `predict_root` → `retire` bit
+    /// for bit because it *is* that sequence. Only a memo hit is
+    /// allocation-free.
     ///
     /// # Panics
-    /// Panics on a featurizer/model shape mismatch (same contract as
-    /// [`ProgramBuilder::admit`]); callers must pre-check arity via
+    /// Panics, before touching any state, on a malformed plan or a
+    /// featurizer/model shape mismatch (the [`ProgramBuilder::admit`]
+    /// contract); the serve fast path pre-checks arity via
     /// [`ScratchPlan::arity_ok`].
     pub fn predict_oneshot(&mut self, plan: &ScratchPlan) -> OneshotRun {
-        let n = plan.len();
-        assert!(n > 0, "plans are non-empty");
-
-        // Whole-plan memo probe: an exact repeat of a served plan skips
-        // featurize + run entirely. The key lives in reusable scratch,
-        // so a warm probe — hit or miss — never allocates.
-        let tc = std::time::Instant::now();
-        Self::scratch_key(&mut self.key_scratch, self.caps.is_some(), plan);
-        if let Some(latency_ms) = self.pred_cache.lookup(&self.key_scratch) {
-            self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
+        if let Some(latency_ms) = self.cache_probe(plan) {
             return OneshotRun { latency_ms, featurize_ns: 0, run_ns: 0, cache_hit: true };
         }
-        let mut sc = std::mem::take(&mut self.oneshot);
-
         let t0 = std::time::Instant::now();
-        sc.feats.clear();
-        sc.spans.clear();
-        for (k, node) in plan.nodes().iter().enumerate() {
-            let kind = plan.kinds()[k];
-            assert_eq!(
-                self.featurizer.feature_size(kind) + kind.arity() * self.out_w,
-                self.units.unit(kind).in_dim(),
-                "feature/model shape mismatch for {kind:?}"
-            );
-            let content = plan.contents[k];
-            self.feat_cache.features_into(
-                self.featurizer,
-                self.whitener,
-                node,
-                content,
-                &mut sc.feat,
-            );
-            let off = sc.feats.len() as u32;
-            sc.feats.extend_from_slice(&sc.feat);
-            sc.spans.push((off, sc.feat.len() as u32));
-        }
+        let id = self.admit_plan(plan);
         let featurize_ns = t0.elapsed().as_nanos() as u64;
-
         let t1 = std::time::Instant::now();
-        sc.outputs.resize_for_overwrite(n, self.out_w);
-        for k in 0..n {
-            let kind = plan.kinds()[k];
-            let (off, len) = sc.spans[k];
-            let (off, fw) = (off as usize, len as usize);
-            let kids = plan.lowering().children_of(k);
-            sc.input.resize_for_overwrite(1, fw + kids.len() * self.out_w);
-            let row = sc.input.row_mut(0);
-            row[..fw].copy_from_slice(&sc.feats[off..off + fw]);
-            for (j, &c) in kids.iter().enumerate() {
-                let dst = fw + j * self.out_w;
-                row[dst..dst + self.out_w].copy_from_slice(sc.outputs.row(c));
-            }
-            let out = self.packed.unit(kind).forward_pooled(&sc.input, &mut self.pool);
-            sc.outputs.row_mut(k).copy_from_slice(out.row(0));
-            self.pool.give(out);
-        }
-        sc.preds.clear();
-        sc.preds.extend((0..n).map(|k| self.codec.decode(sc.outputs.get(k, 0))));
-        if let Some(caps) = self.caps {
-            clamp_plan_envelope(&mut sc.preds, plan.lowering(), plan.kinds(), caps);
-        }
-        let latency_ms = *sc.preds.last().expect("plans are non-empty");
+        let latency_ms = self.predict_root(id);
+        self.retire(id);
         let run_ns = t1.elapsed().as_nanos() as u64;
-
-        self.oneshot = sc;
         // `key_scratch` still holds this plan's key from the missed probe
-        // above — nothing between there and here touches it.
+        // above — admission, the run and retire never touch it.
         self.pred_cache.insert(&self.key_scratch, latency_ms);
         OneshotRun { latency_ms, featurize_ns, run_ns, cache_hit: false }
     }
@@ -811,14 +762,15 @@ impl<'m> ProgramBuilder<'m> {
         self.pred_cache.set_max_entries(max_entries);
     }
 
-    /// Assembles the lossless whole-plan key of a [`ScratchPlan`] into
-    /// `key`: `[clamp mode, node count, (content words ⌢ child count ⌢
-    /// child positions) per post-order node]`. The encoding parses back
-    /// unambiguously left to right, so equal keys mean equal plans (and
-    /// equal clamp policy) — never merely equal hashes.
-    fn scratch_key(key: &mut Vec<u64>, clamp: bool, plan: &ScratchPlan) {
+    /// Assembles the lossless whole-plan key of `plan` into
+    /// `key_scratch`: `[clamp mode, node count, (content words ⌢ child
+    /// count ⌢ child positions) per post-order node]`. The encoding
+    /// parses back unambiguously left to right, so equal keys mean equal
+    /// plans (and equal clamp policy) — never merely equal hashes.
+    fn scratch_key(&mut self, plan: &ScratchPlan) {
+        let key = &mut self.key_scratch;
         key.clear();
-        key.push(clamp as u64);
+        key.push(self.caps.is_some() as u64);
         key.push(plan.len() as u64);
         for k in 0..plan.len() {
             key.extend_from_slice(plan.contents[k].words());
@@ -828,44 +780,11 @@ impl<'m> ProgramBuilder<'m> {
         }
     }
 
-    /// [`ProgramBuilder::scratch_key`] for an ordinary plan tree — the
-    /// resident/micro-batch surfaces hold trees, not scratch CSR. The two
-    /// encoders agree word for word on the same plan
-    /// (`whole_plan_key_agrees_across_encodings` pins it), so a memo
-    /// warmed by one surface serves the others.
-    fn tree_key(&mut self, root: &PlanNode) {
-        fn rec(
-            node: &PlanNode,
-            key: &mut Vec<u64>,
-            kid_stack: &mut Vec<u64>,
-            next: &mut u64,
-        ) -> u64 {
-            let mark = kid_stack.len();
-            for c in &node.children {
-                let pos = rec(c, key, kid_stack, next);
-                kid_stack.push(pos);
-            }
-            key.extend_from_slice(NodeContentKey::of(node).words());
-            key.push((kid_stack.len() - mark) as u64);
-            key.extend_from_slice(&kid_stack[mark..]);
-            kid_stack.truncate(mark);
-            let pos = *next;
-            *next += 1;
-            pos
-        }
-        self.key_scratch.clear();
-        self.key_scratch.push(self.caps.is_some() as u64);
-        self.key_scratch.push(0); // node count, patched below
-        let mut next = 0u64;
-        rec(root, &mut self.key_scratch, &mut Vec::new(), &mut next);
-        self.key_scratch[1] = next;
-    }
-
-    /// Memo probe for a tree-shaped predict request (the micro-batch
-    /// surface). Counts a hit or miss.
-    fn cache_probe_tree(&mut self, root: &PlanNode) -> Option<f64> {
+    /// Memo probe for one plan; counts a hit or miss. The key lives in
+    /// reusable scratch, so a warm probe — hit or miss — never allocates.
+    fn cache_probe(&mut self, plan: &ScratchPlan) -> Option<f64> {
         let tc = std::time::Instant::now();
-        self.tree_key(root);
+        self.scratch_key(plan);
         let hit = self.pred_cache.lookup(&self.key_scratch);
         if hit.is_some() {
             self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
@@ -873,11 +792,11 @@ impl<'m> ProgramBuilder<'m> {
         hit
     }
 
-    /// Memoizes a freshly-computed tree prediction. Re-assembles the key:
-    /// between a batch's probes and its inserts, other members' probes
-    /// clobber `key_scratch`.
-    fn cache_insert_tree(&mut self, root: &PlanNode, latency_ms: f64) {
-        self.tree_key(root);
+    /// Memoizes a freshly-computed prediction. Re-assembles the key:
+    /// between a micro-batch's probes and its inserts, other members'
+    /// probes clobber `key_scratch`.
+    fn cache_insert(&mut self, plan: &ScratchPlan, latency_ms: f64) {
+        self.scratch_key(plan);
         self.pred_cache.insert(&self.key_scratch, latency_ms);
     }
 
@@ -1095,31 +1014,16 @@ impl<'m> ProgramBuilder<'m> {
     }
 }
 
-/// Deterministic shard-routing hash of a whole plan: FNV-1a folded over
-/// every node's lossless [`NodeContentKey`] words plus the child hashes,
-/// so structurally identical plans always land on the same shard (which
-/// is what lets the per-shard CSE maps and feature caches keep their hit
-/// rates under sharding) and the routing is stable across platforms and
-/// runs — no pointer or insertion-order dependence.
-pub fn plan_shard_hash(node: &PlanNode) -> u64 {
-    let mut h = Fnv1a::new();
-    for &w in NodeContentKey::of(node).words() {
-        h.mix(w);
-    }
-    for child in &node.children {
-        h.mix(plan_shard_hash(child));
-    }
-    h.finish()
-}
-
 /// A plan decoded straight into lowering-ready form, bypassing the
 /// `PlanNode` tree: post-order node records (children lists live in the
 /// CSR [`Lowering`], so each stored node's own `children` vec stays
 /// empty — every consumer of a node's content is node-local, see
-/// [`NodeContentKey`]), the per-position [`OpKind`]s, and a bottom-up
-/// replica of [`plan_shard_hash`] per position.
+/// [`NodeContentKey`]), the per-position [`OpKind`]s, and the bottom-up
+/// shard hash per position (see [`ScratchPlan::shard_hash`]).
 ///
-/// This is the reusable target of the serve fast path's scratch decoder
+/// This is the one lowered plan form of the stream layer: every
+/// admission, memo key and shard route reads it. It is also the reusable
+/// target of the serve fast path's scratch decoder
 /// (`crate::serve::scratch`): [`ScratchPlan::clear`] keeps every
 /// allocation, so a warm instance rebuilds from wire bytes without
 /// touching the allocator. It is also valid mid-construction — a decoder
@@ -1190,9 +1094,9 @@ impl ScratchPlan {
         self.lowering.seal();
     }
 
-    /// Rebuilds from an ordinary plan tree (post-order traversal). The
-    /// serve fast path decodes straight from wire bytes instead; this is
-    /// the reference constructor the differential tests compare against.
+    /// Rebuilds from an ordinary plan tree (post-order traversal) — how
+    /// every tree-shaped surface lowers its plans. The serve fast path
+    /// decodes straight from wire bytes instead.
     pub fn rebuild_from_tree(&mut self, root: &PlanNode) {
         fn rec(sp: &mut ScratchPlan, node: &PlanNode, kid_stack: &mut Vec<usize>) -> usize {
             let mark = kid_stack.len();
@@ -1235,8 +1139,14 @@ impl ScratchPlan {
             .all(|k| self.lowering.children_of(k).len() == self.kinds[k].arity())
     }
 
-    /// The root's [`plan_shard_hash`] replica (the last post-order
-    /// position). Zero on an empty plan.
+    /// Deterministic shard-routing hash of the whole plan: FNV-1a folded
+    /// over each node's lossless [`NodeContentKey`] words plus its
+    /// children's hashes, read at the root (the last post-order
+    /// position). Structurally identical plans always land on the same
+    /// shard — which is what lets the per-shard CSE maps, feature caches
+    /// and memos keep their hit rates under sharding — and the routing is
+    /// stable across platforms and runs (no pointer or insertion-order
+    /// dependence). Zero on an empty plan.
     pub fn shard_hash(&self) -> u64 {
         self.hashes.last().copied().unwrap_or(0)
     }
@@ -1264,44 +1174,16 @@ pub struct OneshotRun {
     /// Decoded (and, under caps, envelope-clamped) root-latency
     /// prediction in milliseconds.
     pub latency_ms: f64,
-    /// Wall time of the featurization pass (feature-cache lookups).
-    /// Zero on a memo hit (the pass is skipped).
+    /// Wall time of the admission into the resident builder (CSE lookups,
+    /// feature-cache lookups, chunk placement). Zero on a memo hit.
     pub featurize_ns: u64,
-    /// Wall time of the forward + decode + clamp pass. Zero on a memo
+    /// Wall time of the run + decode + clamp + retire. Zero on a memo
     /// hit.
     pub run_ns: u64,
     /// True when the prediction was served from the whole-plan memo
     /// ([`PredictionCache`]) instead of running the kernels. Bitwise
     /// equality holds either way.
     pub cache_hit: bool,
-}
-
-/// Reusable buffers of the one-shot predict path; lives on the builder so
-/// steady-state calls never allocate.
-struct OneshotScratch {
-    /// Flat feature rows, `spans[k]` delimiting node `k`'s row.
-    feats: Vec<f32>,
-    spans: Vec<(u32, u32)>,
-    /// Single-row output of `FeatureCache::features_into`.
-    feat: Vec<f32>,
-    /// `n × out_w` per-node unit outputs (post-order).
-    outputs: Matrix,
-    /// One-row gemm input `(feat prefix ⌢ child₁ ⌢ … ⌢ childₖ)`.
-    input: Matrix,
-    preds: Vec<f64>,
-}
-
-impl Default for OneshotScratch {
-    fn default() -> OneshotScratch {
-        OneshotScratch {
-            feats: Vec::new(),
-            spans: Vec::new(),
-            feat: Vec::new(),
-            outputs: Matrix::zeros(0, 0),
-            input: Matrix::zeros(0, 0),
-            preds: Vec::new(),
-        }
-    }
 }
 
 /// Shard-per-core resident serving: `S` independent [`ProgramBuilder`]
@@ -1337,6 +1219,8 @@ pub struct ShardedStream<'m> {
     routes: BTreeMap<u64, (usize, PlanId)>,
     next_id: u64,
     fingerprint: u64,
+    /// Reusable lowering target of [`ShardedStream::admit`].
+    scratch: ScratchPlan,
 }
 
 impl<'m> ShardedStream<'m> {
@@ -1362,6 +1246,7 @@ impl<'m> ShardedStream<'m> {
             routes: BTreeMap::new(),
             next_id: 0,
             fingerprint,
+            scratch: ScratchPlan::new(),
         }
     }
 
@@ -1380,12 +1265,20 @@ impl<'m> ShardedStream<'m> {
     /// contract as [`ProgramBuilder::admit`]: a malformed plan panics
     /// before any shard state is touched.
     pub fn admit(&mut self, root: &PlanNode) -> PlanId {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        let inner = self.shards[shard].admit(root);
+        let mut plan = std::mem::take(&mut self.scratch);
+        plan.rebuild_from_tree(root);
+        let shard = self.shard_of(&plan);
+        let inner = self.shards[shard].admit_plan(&plan);
+        self.scratch = plan;
         let id = self.next_id;
         self.next_id += 1;
         self.routes.insert(id, (shard, inner));
         PlanId(id)
+    }
+
+    /// The content-hash shard of a plan (see [`ScratchPlan::shard_hash`]).
+    fn shard_of(&self, plan: &ScratchPlan) -> usize {
+        (plan.shard_hash() % self.shards.len() as u64) as usize
     }
 
     /// Admits a batch of plans, with admissions to *different* shards
@@ -1400,17 +1293,20 @@ impl<'m> ShardedStream<'m> {
     /// resident but unreachable — callers treating admission panics as
     /// recoverable should admit one at a time.
     pub fn admit_batch(&mut self, roots: &[&PlanNode], threads: usize) -> Vec<PlanId> {
+        self.admit_plans(&lower_all(roots), threads)
+    }
+
+    /// [`ShardedStream::admit_batch`] of plans already in [`ScratchPlan`]
+    /// form.
+    fn admit_plans(&mut self, plans: &[ScratchPlan], threads: usize) -> Vec<PlanId> {
         // Route up front (cheap, pure), so the parallel section below
         // works on a fixed partition of disjoint shards.
-        let routed: Vec<usize> = roots
-            .iter()
-            .map(|r| (plan_shard_hash(r) % self.shards.len() as u64) as usize)
-            .collect();
+        let routed: Vec<usize> = plans.iter().map(|p| self.shard_of(p)).collect();
         let threads = threads.clamp(1, self.shards.len());
-        let mut inner: Vec<Option<PlanId>> = vec![None; roots.len()];
+        let mut inner: Vec<Option<PlanId>> = vec![None; plans.len()];
         if threads <= 1 {
-            for (k, (&shard, root)) in routed.iter().zip(roots).enumerate() {
-                inner[k] = Some(self.shards[shard].admit(root));
+            for (k, (&shard, plan)) in routed.iter().zip(plans).enumerate() {
+                inner[k] = Some(self.shards[shard].admit_plan(plan));
             }
         } else {
             let shards_addr = self.shards.as_mut_ptr() as usize;
@@ -1431,12 +1327,13 @@ impl<'m> ShardedStream<'m> {
                     // duration. `run` blocks until all workers finish.
                     unsafe {
                         let builder = &mut *(shards_addr as *mut ProgramBuilder<'m>).add(shard);
-                        *(inner_addr as *mut Option<PlanId>).add(k) = Some(builder.admit(roots[k]));
+                        *(inner_addr as *mut Option<PlanId>).add(k) =
+                            Some(builder.admit_plan(&plans[k]));
                     }
                 }
             });
         }
-        let mut ids = Vec::with_capacity(roots.len());
+        let mut ids = Vec::with_capacity(plans.len());
         for (k, &shard) in routed.iter().enumerate() {
             let id = self.next_id;
             self.next_id += 1;
@@ -1493,13 +1390,12 @@ impl<'m> ShardedStream<'m> {
     }
 
     /// One-shot root prediction of a non-resident plan (see
-    /// [`ProgramBuilder::predict_oneshot`]), routed to the same
-    /// content-hash shard [`ShardedStream::admit`] would pick — the
-    /// [`ScratchPlan`] carries a bottom-up replica of
-    /// [`plan_shard_hash`] — so it warms exactly the feature cache that
-    /// resident admissions of the same templates would hit.
+    /// [`ProgramBuilder::predict_oneshot`]), run on the same content-hash
+    /// shard [`ShardedStream::admit`] would pick — so it shares rows with,
+    /// and warms exactly the feature cache of, resident admissions of the
+    /// same templates.
     pub fn predict_oneshot(&mut self, plan: &ScratchPlan) -> OneshotRun {
-        let shard = (plan.shard_hash() % self.shards.len() as u64) as usize;
+        let shard = self.shard_of(plan);
         self.shards[shard].predict_oneshot(plan)
     }
 
@@ -1511,19 +1407,18 @@ impl<'m> ShardedStream<'m> {
         }
     }
 
-    /// Memo probe for a tree-shaped predict request, routed to the same
-    /// content-hash shard [`ShardedStream::admit`] picks — so one
-    /// coherent per-shard memo is warmed by every surface.
-    fn cache_probe(&mut self, root: &PlanNode) -> Option<f64> {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        self.shards[shard].cache_probe_tree(root)
+    /// Memo probe, routed to the same content-hash shard
+    /// [`ShardedStream::admit`] picks — so one coherent per-shard memo is
+    /// warmed by every surface.
+    fn cache_probe(&mut self, plan: &ScratchPlan) -> Option<f64> {
+        let shard = self.shard_of(plan);
+        self.shards[shard].cache_probe(plan)
     }
 
-    /// Memoizes a freshly-computed tree prediction on its content-hash
-    /// shard.
-    fn cache_insert(&mut self, root: &PlanNode, latency_ms: f64) {
-        let shard = (plan_shard_hash(root) % self.shards.len() as u64) as usize;
-        self.shards[shard].cache_insert_tree(root, latency_ms);
+    /// Memoizes a freshly-computed prediction on its content-hash shard.
+    fn cache_insert(&mut self, plan: &ScratchPlan, latency_ms: f64) {
+        let shard = self.shard_of(plan);
+        self.shards[shard].cache_insert(plan, latency_ms);
     }
 
     /// Per-operator predictions (post order, milliseconds) for one
@@ -1641,6 +1536,19 @@ impl<'m> ShardedStream<'m> {
     }
 }
 
+/// Lowers each plan tree once into its own [`ScratchPlan`] — the front
+/// door of the batch surfaces, which then route, admit and key from it.
+fn lower_all(roots: &[&PlanNode]) -> Vec<ScratchPlan> {
+    roots
+        .iter()
+        .map(|root| {
+            let mut plan = ScratchPlan::new();
+            plan.rebuild_from_tree(root);
+            plan
+        })
+        .collect()
+}
+
 /// Statistics of a [`MicroBatcher`] front door: how many coalesced runs
 /// it issued and how wide they were (the whole point of micro-batching is
 /// pushing mean width above 1 so the per-family gemms amortize).
@@ -1746,9 +1654,9 @@ impl<'p> MicroBatcher<'p> {
         // the wavefront run shrinks: members whose whole-plan key is
         // memoized take their prediction from the memo and drop out of
         // the coalesced run; the rest run and then seed the memo.
-        let ids = stream.admit_batch(&self.pending, threads);
-        let mut preds: Vec<Option<f64>> =
-            self.pending.iter().map(|p| stream.cache_probe(p)).collect();
+        let plans = lower_all(&self.pending);
+        let ids = stream.admit_plans(&plans, threads);
+        let mut preds: Vec<Option<f64>> = plans.iter().map(|p| stream.cache_probe(p)).collect();
         let miss_ids: Vec<PlanId> = ids
             .iter()
             .zip(&preds)
@@ -1762,7 +1670,7 @@ impl<'p> MicroBatcher<'p> {
             for (k, slot) in preds.iter_mut().enumerate() {
                 if slot.is_none() {
                     let v = fresh.next().expect("one prediction per miss");
-                    stream.cache_insert(self.pending[k], v);
+                    stream.cache_insert(&plans[k], v);
                     *slot = Some(v);
                 }
             }
@@ -1782,6 +1690,7 @@ mod tests {
     use super::*;
     use crate::config::{QppConfig, TargetTransform};
     use crate::infer::PlanProgram;
+    use crate::lower::lower;
     use qpp_plansim::catalog::Workload;
     use qpp_plansim::dataset::Dataset;
     use qpp_plansim::plan::Plan;
@@ -2135,7 +2044,6 @@ mod tests {
                 );
                 assert_eq!(sp.kinds()[k], node.op.kind());
             }
-            assert_eq!(sp.shard_hash(), plan_shard_hash(&p.root));
             assert!(sp.arity_ok());
         }
     }
@@ -2222,15 +2130,8 @@ mod tests {
     fn oneshot_predict_is_allocation_free_when_warm() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
-        let plans: Vec<ScratchPlan> = ds
-            .plans
-            .iter()
-            .map(|p| {
-                let mut sp = ScratchPlan::new();
-                sp.rebuild_from_tree(&p.root);
-                sp
-            })
-            .collect();
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let plans = lower_all(&roots);
         // Warm every scratch buffer, the feature cache and the pool.
         for sp in &plans {
             builder.predict_oneshot(sp);
@@ -2244,30 +2145,6 @@ mod tests {
             0,
             "warm one-shot predict must not allocate"
         );
-    }
-
-    #[test]
-    fn whole_plan_key_agrees_across_encodings() {
-        let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
-        let caps = crate::tree::fit_ratio_caps(ds.plans.iter(), 2.0);
-        for caps in [None, Some(&caps)] {
-            let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, caps);
-            let mut sp = ScratchPlan::new();
-            for p in &ds.plans {
-                sp.rebuild_from_tree(&p.root);
-                let mut from_scratch = Vec::new();
-                ProgramBuilder::scratch_key(&mut from_scratch, builder.caps.is_some(), &sp);
-                builder.tree_key(&p.root);
-                assert_eq!(
-                    builder.key_scratch,
-                    from_scratch,
-                    "key encoder drift (caps={})",
-                    builder.caps.is_some()
-                );
-                assert_eq!(from_scratch[0], builder.caps.is_some() as u64);
-                assert_eq!(from_scratch[1], sp.len() as u64);
-            }
-        }
     }
 
     #[test]
@@ -2411,12 +2288,15 @@ mod tests {
     #[test]
     fn shard_routing_is_deterministic() {
         let (ds, _, _, _, _) = setup(Workload::TpcH);
-        for p in &ds.plans {
-            assert_eq!(plan_shard_hash(&p.root), plan_shard_hash(&p.root.clone()));
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let clones: Vec<PlanNode> = ds.plans.iter().map(|p| p.root.clone()).collect();
+        let plans = lower_all(&roots);
+        for (sp, again) in plans.iter().zip(lower_all(&clones.iter().collect::<Vec<_>>())) {
+            assert_eq!(sp.shard_hash(), again.shard_hash());
         }
         // Sanity: the hash actually spreads a workload (not all-one-bucket).
         let shards: std::collections::HashSet<u64> =
-            ds.plans.iter().map(|p| plan_shard_hash(&p.root) % 4).collect();
+            plans.iter().map(|sp| sp.shard_hash() % 4).collect();
         assert!(shards.len() > 1, "routing must spread distinct plans");
     }
 }

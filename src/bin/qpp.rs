@@ -55,7 +55,7 @@
 //! JSON-lines wire protocol (admit / retire / predict / admit_predict /
 //! stats / shutdown) over TCP or `unix:` sockets, with one request path
 //! per verb and multi-model tenancy via a comma-separated `--model` list.
-//! Drive it with the `serve_load` bench bin for saturation curves.
+//! Drive it with the `perfbench/` benchmark for end-to-end latency.
 //!
 //! Each subcommand accepts only the flags it reads (`accepted_flags`);
 //! any other flag, a typo included, is a usage error.
@@ -703,9 +703,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     );
     println!(
         "kernel tier: {}; one path per verb: one-shot admit_predict takes the \
-         zero-allocation fast path, anything else the general decoder; \
-         whole-plan prediction memo on every admit_predict; predict by id \
-         runs only the rows admitted since the last run",
+         scratch decoder and the resident builder, anything else the general \
+         decoder; whole-plan prediction memo on every admit_predict, and only \
+         memo hits are allocation-free; predict by id runs only the rows \
+         admitted since the last run",
         qpp::nn::KernelTier::current()
     );
     println!("protocol: one JSON object per line; send {{\"v\":1,\"op\":\"shutdown\"}} to stop");
@@ -738,7 +739,7 @@ fn cmd_serve_stats(flags: &HashMap<String, String>) -> Result<(), String> {
     if s.fast_path_predicted > 0 {
         let per = |ns: u64| ns as f64 / s.fast_path_predicted as f64 / 1_000.0;
         println!(
-            "  per-request: parse {:.1}us, featurize {:.1}us, run {:.1}us, serialize {:.1}us",
+            "  per-request: parse {:.1}us, admit {:.1}us, run+retire {:.1}us, serialize {:.1}us",
             per(s.parse_ns),
             per(s.featurize_ns),
             per(s.run_ns),

@@ -4,7 +4,9 @@
 //! of the same resident set — at 1 and 4 worker threads, unclamped and
 //! under the structural envelope. A predict runs only the chunks that
 //! gained members since the last run, so every interleaving here is also
-//! a test of those partial runs.
+//! a test of those partial runs. One-shot predicts (admit → run → retire
+//! on the same builder) are interleaved too, often of an exact copy of a
+//! resident plan, so their retire meets CSE-shared rows.
 //!
 //! This is a stronger contract than the batch engine's cross-engine
 //! agreement (`1e-5` relative vs `Classes`): the incremental program
@@ -28,7 +30,7 @@
 use proptest::prelude::*;
 use qpp::net::config::{TargetCodec, TargetTransform};
 use qpp::net::tree::{fit_ratio_caps, RatioCaps};
-use qpp::net::{PlanId, PlanProgram, ProgramBuilder, QppConfig, QppNet, UnitSet};
+use qpp::net::{PlanId, PlanProgram, ProgramBuilder, QppConfig, QppNet, ScratchPlan, UnitSet};
 use qpp::plansim::features::{Featurizer, Whitener};
 use qpp::plansim::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -83,9 +85,15 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     // the same op sequence, so it hands out the same ids.
     let mut resident: Vec<(PlanId, usize)> = Vec::new();
     let mut op_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
+    let mut scratch = ScratchPlan::new();
+    // True while every admitted row has been computed: a run executes
+    // every stale chunk, so only then is a one-shot's run bounded by the
+    // chunks its own rows joined. The builders share one op sequence and
+    // so one freshness state.
+    let mut fresh = true;
 
-    for _ in 0..24 {
-        let action: u32 = op_rng.gen_range(0..4);
+    for _ in 0..32 {
+        let action: u32 = op_rng.gen_range(0..5);
         match action {
             // Admit a random plan from the pool (repeats deliberately
             // allowed — they are the CSE-heavy case).
@@ -95,6 +103,7 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
                     builders.iter_mut().map(|(_, b)| b.admit(&ds.plans[pick].root)).collect();
                 assert!(ids.iter().all(|&id| id == ids[0]), "builders drifted apart");
                 resident.push((ids[0], pick));
+                fresh = false;
             }
             // Retire a random resident plan.
             1 if !resident.is_empty() => {
@@ -120,6 +129,50 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
                         resident.len()
                     );
                 }
+                fresh = true;
+            }
+            // One-shot predict of a non-resident plan — half the draws an
+            // exact copy of a resident plan. It must match a fresh compile
+            // of that plan alone and leave the resident set as it found it.
+            3 => {
+                let pick = if !resident.is_empty() && op_rng.gen_bool(0.5) {
+                    resident[op_rng.gen_range(0..resident.len())].1
+                } else {
+                    op_rng.gen_range(0..ds.plans.len())
+                };
+                let plan = &ds.plans[pick];
+                scratch.rebuild_from_tree(&plan.root);
+                let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &[plan], 1)[0];
+                let mut ran = false;
+                for (threads, b) in &mut builders {
+                    let (before, ids) = (b.stats(), b.resident());
+                    let run = b.predict_oneshot(&scratch);
+                    assert_eq!(
+                        run.latency_ms.to_bits(),
+                        want.to_bits(),
+                        "one-shot of plan {pick}, {threads}-thread builder, clamped={clamped}: \
+                         diverged from fresh compile"
+                    );
+                    let after = b.stats();
+                    assert_eq!(b.resident(), ids, "a one-shot changed the resident set");
+                    assert_eq!(
+                        (after.resident_plans, after.logical_nodes, after.shared_rows),
+                        (before.resident_plans, before.logical_nodes, before.shared_rows),
+                        "a one-shot of plan {pick} left rows behind or took shared ones"
+                    );
+                    // Every position is either a CSE hit or a new row in
+                    // one chunk, so at most `nodes - cse hits` chunks.
+                    let joined = plan.node_count() as u64 - (after.cse_hits - before.cse_hits);
+                    if fresh {
+                        assert!(
+                            after.steps_run - before.steps_run <= joined,
+                            "a one-shot ran {} chunks but joined at most {joined}",
+                            after.steps_run - before.steps_run
+                        );
+                    }
+                    ran |= !run.cache_hit;
+                }
+                fresh |= ran;
             }
             // Predict every resident plan.
             _ => {
@@ -135,6 +188,7 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
                         resident.len()
                     );
                 }
+                fresh = true;
             }
         }
     }
