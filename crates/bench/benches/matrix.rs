@@ -2,20 +2,36 @@
 //! wavefront-training step runs — the packed-panel kernels of `qpp_nn` —
 //! at the paper's layer shape (128×128) across batch sizes:
 //!
-//! * forward `X·W + b` (`PackedWeights::gemm_into` with a bias);
+//! * forward `X·W + b` (`PackedWeights::gemm_into` with a bias), on
+//!   dense input and on ReLU-sparse input (about half the entries
+//!   exactly zero, like a hidden layer's activations, so the zero skip
+//!   is exercised);
 //! * input gradient `dZ·Wᵀ` (`PackedDense::backward_input_into`);
 //! * weight gradient `dW += Xᵀ·dZ` (`PackedWeights::accumulate_at_b`).
+//!
+//! Batches 1–3 take the kernels' single-row pass, which is what a
+//! one-shot prediction's wavefront chunks mostly run; 16 and up take the
+//! 4-row blocks. `mlp_paper_forward_pooled/1` times one row through a
+//! whole paper-tier unit (70 → 128×5 → 33, `PackedMlp::forward_pooled`).
 //!
 //! Each runs the body of the process kernel tier (printed first;
 //! `QPP_NN_FORCE_TIER` lowers it). The join-unit input assembly and
 //! gradient split (`hcat` / `slice_cols`) are timed as well.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qpp_nn::{Activation, Dense, Init, KernelTier, Matrix, PackedBias, PackedDense, PackedWeights};
+use qpp_nn::{
+    Activation, BufferPool, Dense, Init, KernelTier, Matrix, Mlp, PackedBias, PackedDense,
+    PackedMlp, PackedWeights,
+};
 use rand::{Rng, SeedableRng};
 
 fn rand_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0..1.0))
+}
+
+/// `relu(U(-1, 1))`: about half the entries are exactly `+0.0`.
+fn relu_sparse_matrix(rows: usize, cols: usize, rng: &mut impl Rng) -> Matrix {
+    Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.0f32..1.0).max(0.0))
 }
 
 fn bench_kernels(c: &mut Criterion) {
@@ -29,14 +45,22 @@ fn bench_kernels(c: &mut Criterion) {
     let bias = PackedBias::pack(&layer.b);
     let dense = PackedDense::pack(&layer, true);
     let mut group = c.benchmark_group("packed_kernels_128x128");
-    for &batch in &[1usize, 16, 64, 256] {
+    for &batch in &[1usize, 2, 3, 16, 64, 256] {
         let x = rand_matrix(batch, 128, &mut rng);
+        let xs = relu_sparse_matrix(batch, 128, &mut rng);
         let dz = rand_matrix(batch, 128, &mut rng);
 
         group.bench_with_input(BenchmarkId::new("forward_xw_bias", batch), &batch, |b, _| {
             let mut out = Matrix::zeros(batch, 128);
             b.iter(|| {
                 w.gemm_into(&x, Some(&bias), &mut out);
+                std::hint::black_box(out.get(0, 0))
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("forward_xw_bias_relu_sparse", batch), &batch, |b, _| {
+            let mut out = Matrix::zeros(batch, 128);
+            b.iter(|| {
+                w.gemm_into(&xs, Some(&bias), &mut out);
                 std::hint::black_box(out.get(0, 0))
             })
         });
@@ -56,6 +80,19 @@ fn bench_kernels(c: &mut Criterion) {
             })
         });
     }
+    let dims = [70, 128, 128, 128, 128, 128, 33];
+    let mlp = Mlp::new(&dims, Activation::Relu, Activation::Identity, Init::He, &mut rng);
+    let unit = PackedMlp::pack(&mlp, false);
+    let x = rand_matrix(1, dims[0], &mut rng);
+    let mut pool = BufferPool::new();
+    group.bench_with_input(BenchmarkId::new("mlp_paper_forward_pooled", 1), &1, |b, _| {
+        b.iter(|| {
+            let out = unit.forward_pooled(&x, &mut pool);
+            let v = out.get(0, 0);
+            pool.give(out);
+            std::hint::black_box(v)
+        })
+    });
     group.finish();
 }
 

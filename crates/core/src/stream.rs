@@ -973,9 +973,12 @@ impl<'m> ProgramBuilder<'m> {
     /// back-pointer), drops the chunk entirely when it empties, and
     /// recycles the output row.
     fn release_node(&mut self, nid: u32) {
+        // The slot is being freed, so its key moves out (`alloc_node`'s
+        // caller overwrites every field on reuse).
         let (key, sid, slot, height, row) = {
-            let node = &self.nodes[nid as usize];
-            (node.key.clone(), node.step as usize, node.slot as usize, node.height, node.row)
+            let node = &mut self.nodes[nid as usize];
+            let key = std::mem::take(&mut node.key);
+            (key, node.step as usize, node.slot as usize, node.height, node.row)
         };
         let removed = self.cse.remove(&key);
         debug_assert_eq!(removed, Some(nid), "CSE map out of sync with node slab");
