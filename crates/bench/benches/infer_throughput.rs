@@ -17,7 +17,10 @@
 //!   AVX2 host, bounded by pure gemm throughput).
 //!
 //! Per tier, `classes` and `program` time the full request path
-//! (featurize + schedule + evaluate a fresh batch); `program_precompiled`
+//! (featurize + schedule + evaluate a fresh batch); `builder_batch` times
+//! the same batch through a fresh incremental builder (admit every plan,
+//! then one resident run), the row that decides whether the batch engine
+//! can be folded into the builder (DESIGN.md §10); `program_precompiled`
 //! times the steady-state compile-once/run-many loop (e.g. an admission
 //! controller re-scoring a queue), with a thread-count axis (t1/t2/t4)
 //! over `PlanProgram::run_parallel` — the multicore scaling table in the
@@ -42,10 +45,6 @@
 //! * `sharded_admit` — the shard-per-core front door for the same
 //!   steady-state arrival: admit + retire one plan through a
 //!   `ShardedStream` (content-hash routing on top of `admit_one`).
-//! * `microbatch_w{1,4,16}` — the micro-batching front door at batch
-//!   width W: submit W concurrent requests, flush them as one
-//!   heterogeneous resident run; reported per *batch*, so divide by W
-//!   for the per-request cost the coalescing amortizes.
 //!
 //! The tier-independent `pool` group isolates executor dispatch:
 //! `resident_pool_t{1,2,4}` runs an empty job on the parked resident
@@ -103,6 +102,19 @@ fn bench_mixed_stream(c: &mut Criterion) {
                 })
             });
         }
+        group.bench_function(BenchmarkId::new("builder_batch", total), |b| {
+            b.iter(|| {
+                let mut out = Vec::with_capacity(total);
+                for (model, plans) in [(&model_h, &plans_h), (&model_ds, &plans_ds)] {
+                    let mut stream = model.serve_stream();
+                    for p in plans.iter() {
+                        stream.admit(&p.root);
+                    }
+                    out.extend(stream.predict_roots_threaded(1));
+                }
+                out
+            })
+        });
 
         // One-shot fixed cost: compiling the wavefront schedule (includes
         // featurizing every node — compare against the `featurize` bench
@@ -186,7 +198,7 @@ fn bench_mixed_stream(c: &mut Criterion) {
                 {
                     let stream = if which { &mut churn_h } else { &mut churn_ds };
                     let id = stream.admit(&plan.root);
-                    acc += stream.predict_root(id);
+                    acc += stream.predict_root_threaded(id, 1);
                     window.push_back((which, id));
                     if window.len() > 32 {
                         let (w, old) = window.pop_front().unwrap();
@@ -215,21 +227,6 @@ fn bench_mixed_stream(c: &mut Criterion) {
         });
         drop(sharded_h);
 
-        // Micro-batching front door: W concurrent requests coalesce into
-        // one heterogeneous resident run (per-batch time; the per-request
-        // cost is this divided by W).
-        for width in [1usize, 4, 16] {
-            let mut stream = model_h.serve_sharded(4);
-            let mut front = qppnet::MicroBatcher::new();
-            group.bench_function(BenchmarkId::new(format!("microbatch_w{width}"), total), |b| {
-                b.iter(|| {
-                    for p in plans_h.iter().take(width) {
-                        front.submit(&p.root);
-                    }
-                    front.flush(&mut stream, 1)
-                })
-            });
-        }
         group.finish();
     }
 

@@ -305,10 +305,9 @@ struct PlanSlot {
 ///
 /// Compile once per batch with [`PlanProgram::compile`], then run any
 /// number of times against unit sets of the same shape; all buffers are
-/// preallocated at compile time and reused across runs. Execution is
-/// single-threaded through [`PlanProgram::predict_roots`] and friends, or
-/// multicore through [`PlanProgram::run_parallel`] and the `_threaded`
-/// prediction variants — thread count never changes the results.
+/// preallocated at compile time and reused across runs. Every prediction
+/// method takes a worker count ([`PlanProgram::run_parallel`]) — thread
+/// count never changes the results.
 pub struct PlanProgram {
     steps: Vec<Step>,
     /// Step ids grouped into one height level each, ascending: all steps
@@ -521,119 +520,63 @@ impl PlanProgram {
         );
     }
 
-    fn decode_roots(&self, codec: &TargetCodec) -> Vec<f64> {
-        self.plans
-            .iter()
-            .map(|p| codec.decode(self.outputs.get(p.base + p.len - 1, 0)))
-            .collect()
-    }
-
-    /// Folds the structural envelope over decoded per-position latencies,
-    /// in place — the same monotonicity + bounded-amplification walk as
-    /// [`crate::tree::TreeBatch::predict_all_clamped`]. Post order puts
-    /// children before parents, so clamped child values feed the parent's
-    /// envelope exactly as in `TreeBatch`.
-    fn clamp_envelope(&self, all: &mut [Vec<f64>], caps: &RatioCaps) {
-        for (slot, preds) in self.plans.iter().zip(all.iter_mut()) {
-            clamp_plan_envelope(preds, &slot.lowering, &slot.kinds, caps);
-        }
-    }
-
     /// Decoded root-latency predictions (milliseconds), one per plan, in
-    /// the order the plans were compiled.
-    pub fn predict_roots(&mut self, units: &UnitSet, codec: &TargetCodec) -> Vec<f64> {
-        self.predict_roots_threaded(units, codec, 1)
-    }
-
-    /// [`PlanProgram::predict_roots`] on `threads` workers (see
+    /// the order the plans were compiled, run on `threads` workers (see
     /// [`PlanProgram::run_parallel`]; results are identical at any thread
-    /// count).
+    /// count). With `caps`, each root is the last entry of its plan's
+    /// envelope-projected [`PlanProgram::predict_all_threaded`] row.
     pub fn predict_roots_threaded(
         &mut self,
         units: &UnitSet,
         codec: &TargetCodec,
+        caps: Option<&RatioCaps>,
         threads: usize,
     ) -> Vec<f64> {
+        if caps.is_some() {
+            return self
+                .predict_all_threaded(units, codec, caps, threads)
+                .into_iter()
+                .map(|per_plan| *per_plan.last().expect("non-empty plan"))
+                .collect();
+        }
         self.run_parallel(units, threads);
         self.decode_roots(codec)
     }
 
+    fn decode_roots(&self, codec: &TargetCodec) -> Vec<f64> {
+        self.plans.iter().map(|p| codec.decode(self.outputs.get(p.base + p.len - 1, 0))).collect()
+    }
+
     /// Decoded latency predictions for every position of every plan
-    /// (`result[plan][position]`, post order, milliseconds).
+    /// (`result[plan][position]`, post order, milliseconds), run on
+    /// `threads` workers. With `caps`, each plan is projected onto the
+    /// structural envelope of inclusive latencies — the same monotonicity
+    /// and bounded-amplification fold as
+    /// [`crate::tree::TreeBatch::predict_all_clamped`], run on the calling
+    /// thread (a cheap sequential walk over decoded scalars).
     ///
     /// Note the index order differs from
     /// [`crate::tree::TreeBatch::predict_all`] (`[position][plan]`): a
     /// heterogeneous batch has no shared position axis.
-    pub fn predict_all(&mut self, units: &UnitSet, codec: &TargetCodec) -> Vec<Vec<f64>> {
-        self.predict_all_threaded(units, codec, 1)
-    }
-
-    /// [`PlanProgram::predict_all`] on `threads` workers.
     pub fn predict_all_threaded(
         &mut self,
         units: &UnitSet,
         codec: &TargetCodec,
+        caps: Option<&RatioCaps>,
         threads: usize,
     ) -> Vec<Vec<f64>> {
         self.run_parallel(units, threads);
         self.plans
             .iter()
             .map(|p| {
-                (p.base..p.base + p.len).map(|r| codec.decode(self.outputs.get(r, 0))).collect()
+                let mut preds: Vec<f64> = (p.base..p.base + p.len)
+                    .map(|r| codec.decode(self.outputs.get(r, 0)))
+                    .collect();
+                if let Some(caps) = caps {
+                    clamp_plan_envelope(&mut preds, &p.lowering, &p.kinds, caps);
+                }
+                preds
             })
-            .collect()
-    }
-
-    /// Like [`PlanProgram::predict_all`], projected onto the structural
-    /// envelope of inclusive latencies — the same monotonicity +
-    /// bounded-amplification fold as
-    /// [`crate::tree::TreeBatch::predict_all_clamped`].
-    pub fn predict_all_clamped(
-        &mut self,
-        units: &UnitSet,
-        codec: &TargetCodec,
-        caps: &RatioCaps,
-    ) -> Vec<Vec<f64>> {
-        self.predict_all_clamped_threaded(units, codec, caps, 1)
-    }
-
-    /// [`PlanProgram::predict_all_clamped`] on `threads` workers (the
-    /// envelope fold itself runs on the calling thread — it is a cheap
-    /// sequential walk over decoded scalars).
-    pub fn predict_all_clamped_threaded(
-        &mut self,
-        units: &UnitSet,
-        codec: &TargetCodec,
-        caps: &RatioCaps,
-        threads: usize,
-    ) -> Vec<Vec<f64>> {
-        let mut all = self.predict_all_threaded(units, codec, threads);
-        self.clamp_envelope(&mut all, caps);
-        all
-    }
-
-    /// Root predictions under the structural envelope (see
-    /// [`PlanProgram::predict_all_clamped`]).
-    pub fn predict_roots_clamped(
-        &mut self,
-        units: &UnitSet,
-        codec: &TargetCodec,
-        caps: &RatioCaps,
-    ) -> Vec<f64> {
-        self.predict_roots_clamped_threaded(units, codec, caps, 1)
-    }
-
-    /// [`PlanProgram::predict_roots_clamped`] on `threads` workers.
-    pub fn predict_roots_clamped_threaded(
-        &mut self,
-        units: &UnitSet,
-        codec: &TargetCodec,
-        caps: &RatioCaps,
-        threads: usize,
-    ) -> Vec<f64> {
-        self.predict_all_clamped_threaded(units, codec, caps, threads)
-            .into_iter()
-            .map(|per_plan| *per_plan.last().expect("non-empty plan"))
             .collect()
     }
 }
@@ -1022,10 +965,7 @@ pub fn predict_plans_with(
         InferEngine::Program { threads } => {
             let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
             let mut program = PlanProgram::compile(featurizer, whitener, units, &roots);
-            match ratio_caps {
-                Some(caps) => program.predict_roots_clamped_threaded(units, codec, caps, threads),
-                None => program.predict_roots_threaded(units, codec, threads),
-            }
+            program.predict_roots_threaded(units, codec, ratio_caps, threads)
         }
     }
 }
@@ -1056,7 +996,7 @@ mod tests {
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
         assert_eq!(program.num_plans(), ds.plans.len());
-        let program_preds = program.predict_roots(&units, &codec);
+        let program_preds = program.predict_roots_threaded(&units, &codec, None, 1);
 
         for (i, plan) in ds.plans.iter().enumerate() {
             let tb = TreeBatch::build(&fz, &wh, &codec, &[&plan.root]);
@@ -1071,7 +1011,7 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup();
         let plan = ds.plans.iter().max_by_key(|p| p.node_count()).unwrap();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &[&plan.root]);
-        let program_all = program.predict_all(&units, &codec);
+        let program_all = program.predict_all_threaded(&units, &codec, None, 1);
         let tb = TreeBatch::build(&fz, &wh, &codec, &[&plan.root]);
         let tree_all = tb.predict_all(&units, &codec);
         assert_eq!(program_all[0].len(), tree_all.len());
@@ -1087,7 +1027,7 @@ mod tests {
         let caps = crate::tree::fit_ratio_caps(ds.plans.iter(), 2.0);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-        let program_preds = program.predict_roots_clamped(&units, &codec, &caps);
+        let program_preds = program.predict_roots_threaded(&units, &codec, Some(&caps), 1);
         for (i, plan) in ds.plans.iter().enumerate() {
             let tb = TreeBatch::build(&fz, &wh, &codec, &[&plan.root]);
             let single = tb.predict_roots_clamped(&units, &codec, &caps)[0];
@@ -1101,8 +1041,8 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup();
         let roots: Vec<&PlanNode> = ds.plans.iter().take(8).map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-        let first = program.predict_roots(&units, &codec);
-        let second = program.predict_roots(&units, &codec);
+        let first = program.predict_roots_threaded(&units, &codec, None, 1);
+        let second = program.predict_roots_threaded(&units, &codec, None, 1);
         assert_eq!(first, second, "stale child routing between runs");
     }
 
@@ -1127,7 +1067,7 @@ mod tests {
         let (_, fz, wh, units, codec) = setup();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &[]);
         assert_eq!(program.num_plans(), 0);
-        assert!(program.predict_roots(&units, &codec).is_empty());
+        assert!(program.predict_roots_threaded(&units, &codec, None, 1).is_empty());
     }
 
     #[test]
@@ -1193,22 +1133,22 @@ mod tests {
         let caps = crate::tree::fit_ratio_caps(ds.plans.iter(), 2.0);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-        let base_roots = program.predict_roots(&units, &codec);
-        let base_all = program.predict_all(&units, &codec);
-        let base_clamped = program.predict_roots_clamped(&units, &codec, &caps);
+        let base_roots = program.predict_roots_threaded(&units, &codec, None, 1);
+        let base_all = program.predict_all_threaded(&units, &codec, None, 1);
+        let base_clamped = program.predict_roots_threaded(&units, &codec, Some(&caps), 1);
         for threads in [2, 3, 4, 8, 64] {
             assert_eq!(
-                program.predict_roots_threaded(&units, &codec, threads),
+                program.predict_roots_threaded(&units, &codec, None, threads),
                 base_roots,
                 "{threads} threads: roots differ"
             );
             assert_eq!(
-                program.predict_all_threaded(&units, &codec, threads),
+                program.predict_all_threaded(&units, &codec, None, threads),
                 base_all,
                 "{threads} threads: per-operator predictions differ"
             );
             assert_eq!(
-                program.predict_roots_clamped_threaded(&units, &codec, &caps, threads),
+                program.predict_roots_threaded(&units, &codec, Some(&caps), threads),
                 base_clamped,
                 "{threads} threads: clamped roots differ"
             );
@@ -1250,7 +1190,7 @@ mod tests {
             .map(|p| PlanProgram::compile(&fz, &wh, &units, &[&p.root]))
             .find(|prog| prog.levels.iter().all(|l| l.len() == 1))
             .expect("some plan compiles to single-step levels");
-        let one = program.predict_roots(&units, &codec);
+        let one = program.predict_roots_threaded(&units, &codec, None, 1);
         let exec = Executor::new(0);
         program.run_on(&units, &exec, 8);
         let many = program.decode_roots(&codec);
@@ -1275,7 +1215,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let units2 = UnitSet::new(&QppConfig::tiny(), &fz2, &mut rng);
         assert_eq!(units2.out_size(), units.out_size(), "width check must pass");
-        let _ = program.predict_roots_threaded(&units2, &codec, 4);
+        let _ = program.predict_roots_threaded(&units2, &codec, None, 4);
     }
 
     /// The executor's panic contract: a panic whose step lands only in a

@@ -45,11 +45,10 @@
 //! predictions bit-identical to recompiling the batch from scratch.
 //! [`QppNet::serve_sharded`] scales that to shard-per-core serving
 //! ([`stream::ShardedStream`]): admissions route by content hash to
-//! per-shard builders and proceed concurrently on the process-wide
-//! resident executor ([`qpp_nn::Executor`]), a micro-batching front door
-//! ([`stream::MicroBatcher`]) coalesces concurrent predict requests into
-//! one heterogeneous run, and multiple fitted models co-host on the same
-//! pool via [`Tenants`], keyed by [`QppNet::fingerprint`].
+//! per-shard builders, a whole-set predict runs the shards concurrently
+//! on the process-wide resident executor ([`qpp_nn::Executor`]), and
+//! multiple fitted models co-host on the same pool via [`Tenants`], keyed
+//! by [`QppNet::fingerprint`].
 //!
 //! Quick start (see `examples/quickstart.rs` for a narrated version):
 //!
@@ -93,10 +92,7 @@ pub use infer::{predict_plans_with, InferEngine, PlanProgram};
 pub use metrics::{evaluate, r_cdf, r_factor, Metrics};
 pub use model::{QppNet, Tenants};
 pub use serve::{Client, ServeAddr, ServeConfig, Server};
-pub use stream::{
-    MicroBatchStats, MicroBatcher, OneshotRun, PlanId, ProgramBuilder, ProgramStats, ScratchPlan,
-    ShardedStream,
-};
+pub use stream::{OneshotRun, PlanId, ProgramBuilder, ProgramStats, ScratchPlan, ShardedStream};
 pub use train::{predict_plans, TrainHistory, TrainStats, Trainer};
 pub use train_program::ProgramTape;
 pub use tree::{equivalence_classes, Supervision, TreeBatch};

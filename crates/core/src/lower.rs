@@ -118,12 +118,38 @@ impl NodeContentKey {
 /// node-for-node identical in every featurized field — the common-
 /// subexpression-elimination map (`qppnet::stream`) keys shared wavefront
 /// rows on this, so sharing is exact (same bits), never heuristic.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
+///
+/// The key is `Copy`: operator arity is at most 2 ([`OpKind::arity`]), so
+/// the children live inline and keying a node never touches the heap.
+///
+/// [`OpKind::arity`]: qpp_plansim::operators::OpKind::arity
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct SubtreeKey {
     /// Content key of the subtree's root node.
     pub content: NodeContentKey,
+    /// Shared-node ids of the root's children, left to right; entries
+    /// past `arity` stay zero so the derived equality and hash see only
+    /// the real children.
+    children: [u32; 2],
+    arity: u8,
+}
+
+impl SubtreeKey {
+    /// The key of a node with root content `content` over the shared
+    /// subtrees `children` (left to right).
+    ///
+    /// # Panics
+    /// Panics if `children` has more than two entries (no operator does).
+    pub fn new(content: NodeContentKey, children: &[u32]) -> SubtreeKey {
+        let mut ids = [0; 2];
+        ids[..children.len()].copy_from_slice(children);
+        SubtreeKey { content, children: ids, arity: children.len() as u8 }
+    }
+
     /// Shared-node ids of the root's children, left to right.
-    pub children: Vec<u32>,
+    pub fn children(&self) -> &[u32] {
+        &self.children[..self.arity as usize]
+    }
 }
 
 /// A plan tree lowered to flat post-order form: per-position child lists
@@ -358,15 +384,17 @@ mod tests {
 
     #[test]
     fn subtree_keys_separate_structure_and_content() {
-        let key = |node: &PlanNode, children: Vec<u32>| SubtreeKey {
-            content: NodeContentKey::of(node),
-            children,
+        let key = |node: &PlanNode, children: Vec<u32>| {
+            SubtreeKey::new(NodeContentKey::of(node), &children)
         };
         let a = scan();
         assert_eq!(key(&a, vec![]), key(&a, vec![]));
         // Same content, different (shared) children → different subtree.
         assert_ne!(key(&a, vec![0]), key(&a, vec![1]));
         assert_ne!(key(&a, vec![0, 1]), key(&a, vec![1, 0]), "child order matters");
+        assert_ne!(key(&a, vec![0, 1]), key(&a, vec![0, 2]), "every child counts");
+        assert_ne!(key(&a, vec![]), key(&a, vec![0]), "zero padding is not a child");
+        assert_eq!(key(&a, vec![3, 4]).children(), [3, 4]);
     }
 
     #[test]

@@ -272,10 +272,9 @@ impl QppNet {
 
     /// Opens a shard-per-core streaming session: `shards` independent
     /// [`crate::stream::ProgramBuilder`]s behind a
-    /// [`crate::stream::ShardedStream`] front door, so concurrent
-    /// admissions proceed in parallel on the resident executor and
-    /// coalesced predicts run one worker per shard (see
-    /// [`crate::stream::MicroBatcher`] for the batching front door).
+    /// [`crate::stream::ShardedStream`] front door, so admissions route
+    /// by plan content and a whole-set predict runs one resident worker
+    /// per shard.
     /// Predictions are bit-identical to [`QppNet::serve_stream`] at every
     /// shard and thread count.
     ///
@@ -315,25 +314,16 @@ impl QppNet {
             "compiled program is stale: the model was refit (or is not the model \
              that compiled it) — recompile the program against the current fit"
         );
-        let f = self.fitted();
-        if self.config.monotone_clamp {
-            program.predict_roots_clamped_threaded(&f.units, &f.codec, &f.ratio_caps, threads)
-        } else {
-            program.predict_roots_threaded(&f.units, &f.codec, threads)
-        }
+        let (_, _, units, codec, caps) = self.fitted_parts();
+        program.predict_roots_threaded(units, codec, caps, threads)
     }
 
     /// Per-operator latency predictions for one plan, in post order
     /// (milliseconds). The last entry is the root/query prediction.
     pub fn predict_operators(&self, plan: &Plan) -> Vec<f64> {
-        let f = self.fitted();
-        let mut program =
-            PlanProgram::compile(&self.featurizer, &f.whitener, &f.units, &[&plan.root]);
-        let mut all = if self.config.monotone_clamp {
-            program.predict_all_clamped(&f.units, &f.codec, &f.ratio_caps)
-        } else {
-            program.predict_all(&f.units, &f.codec)
-        };
+        let (fz, wh, units, codec, caps) = self.fitted_parts();
+        let mut program = PlanProgram::compile(fz, wh, units, &[&plan.root]);
+        let mut all = program.predict_all_threaded(units, codec, caps, 1);
         all.pop().expect("one plan compiled")
     }
 
@@ -399,7 +389,7 @@ impl QppNet {
 /// assert_eq!(Some(key), model.fingerprint());
 /// let stream = pool.stream(key).unwrap();
 /// let id = stream.admit(&ds.plans[0].root);
-/// let _ms = stream.predict_root(id);
+/// let _ms = stream.predict_root_threaded(id, 1);
 /// assert_eq!(pool.register(&model, 2), key); // idempotent: same tenant
 /// ```
 #[derive(Default)]
@@ -579,7 +569,7 @@ mod tests {
         for p in &plans {
             stream.admit(&p.root);
         }
-        let streamed = stream.predict_roots();
+        let streamed = stream.predict_roots_threaded(1);
         drop(stream);
         let mut program = model.compile_program(&plans);
         let compiled = model.predict_compiled(&mut program);

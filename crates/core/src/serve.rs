@@ -63,7 +63,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::model::{QppNet, Tenants};
-use crate::stream::{MicroBatcher, PlanId};
+use crate::stream::{PlanId, ScratchPlan};
 use qpp_plansim::plan::PlanNode;
 
 pub use proto::{ErrorCode, ErrorReply, Request, Response, ServeStats};
@@ -245,8 +245,8 @@ pub mod proto {
         pub retired: u64,
         /// Predictions served.
         pub predicted: u64,
-        /// `admit_predict` requests run on the general path (one
-        /// resident flush each; fast-path replies are not counted).
+        /// `admit_predict` requests run on the general path (one engine
+        /// call each; fast-path replies are not counted).
         pub batches: u64,
         /// Registered tenant models.
         pub tenants: u64,
@@ -1094,6 +1094,8 @@ struct State<'m> {
     sessions: HashMap<u64, (u64, PlanId)>,
     next_id: u64,
     stats: proto::ServeStats,
+    /// Reusable lowering target of general-path one-shot predicts.
+    oneshot: ScratchPlan,
 }
 
 /// Fast-path requests a connection serves before its allocation deltas
@@ -1156,6 +1158,7 @@ impl<'m> Server<'m> {
                 sessions: HashMap::new(),
                 next_id: 1,
                 stats: proto::ServeStats::default(),
+                oneshot: ScratchPlan::new(),
             }),
             fast: FastStats::default(),
             shutdown: AtomicBool::new(false),
@@ -1465,39 +1468,46 @@ impl<'m> Server<'m> {
             Ok(fp) => fp,
             Err(e) => return Response::Error(e),
         };
-        let threads = self.cfg.threads;
         let st = &mut *st;
         let stream = st.tenants.stream(fp).expect("resolved fingerprint is registered");
         st.stats.batches += 1;
-        // A one-plan resident flush: admission, the memo probe/insert and
-        // the run are the micro-batch surface's, so the bits are too.
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            let mut batcher = MicroBatcher::new();
-            batcher.submit(&plan);
-            batcher.flush_resident(stream, threads)
-        }));
-        let Ok((pids, preds)) = run else {
-            return Response::Error(ErrorReply::new(
+        let panicked = || {
+            Response::Error(ErrorReply::new(
                 ErrorCode::Internal,
                 "prediction run panicked; plan rejected",
-            ));
+            ))
         };
-        let (pid, latency_ms) = (pids[0], preds[0]);
-        st.stats.admitted += 1;
-        if keep && latency_ms.is_finite() {
+        if keep {
+            let run = catch_unwind(AssertUnwindSafe(|| stream.admit_predict(&plan)));
+            let Ok((pid, latency_ms)) = run else {
+                return panicked();
+            };
+            st.stats.admitted += 1;
+            if !latency_ms.is_finite() {
+                stream.retire(pid);
+                st.stats.retired += 1;
+                return non_finite(latency_ms);
+            }
             let wire = st.next_id;
             st.next_id += 1;
             st.sessions.insert(wire, (fp, pid));
             st.stats.predicted += 1;
             return Response::Predicted { id: Some(wire), latency_ms };
         }
-        stream.retire(pid);
+        // The fast path's engine call, on a plan lowered from the decoded
+        // tree: the same memo, so either path's miss seeds the other's hit.
+        st.oneshot.rebuild_from_tree(&plan);
+        let oneshot = &st.oneshot;
+        let Ok(run) = catch_unwind(AssertUnwindSafe(|| stream.predict_oneshot(oneshot))) else {
+            return panicked();
+        };
+        st.stats.admitted += 1;
         st.stats.retired += 1;
-        if !latency_ms.is_finite() {
-            return non_finite(latency_ms);
+        if !run.latency_ms.is_finite() {
+            return non_finite(run.latency_ms);
         }
         st.stats.predicted += 1;
-        Response::Predicted { id: None, latency_ms }
+        Response::Predicted { id: None, latency_ms: run.latency_ms }
     }
 
     fn do_stats(&self) -> Response {

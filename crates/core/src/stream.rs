@@ -30,8 +30,8 @@
 //!   full lossless plan key (every node's content words + the CSR child
 //!   structure + the clamp mode) turns an exact repeat of a previously
 //!   served plan — the dominant request class under Zipfian template
-//!   skew — into a hash probe instead of a wavefront run, on every
-//!   predict surface (one-shot, sharded, micro-batched).
+//!   skew — into a hash probe instead of a wavefront run, for one-shot
+//!   predicts and kept admit-predicts alike.
 //!
 //! # Determinism
 //!
@@ -376,7 +376,7 @@ impl PredictionCache {
 /// for plan in &ds.plans {
 ///     let id = stream.admit(&plan.root);
 ///     window.push_back(id);
-///     let _latency_ms = stream.predict_root(id); // admission decision
+///     let _latency_ms = stream.predict_root_threaded(id, 1); // admission decision
 ///     if window.len() > 8 {
 ///         stream.retire(window.pop_front().unwrap()); // query finished
 ///     }
@@ -526,7 +526,7 @@ impl<'m> ProgramBuilder<'m> {
 
     /// [`ProgramBuilder::admit`] of a plan already in [`ScratchPlan`]
     /// form — the one admission core behind every surface (tree admits,
-    /// sharded and micro-batched admits, one-shot predicts).
+    /// sharded admits, one-shot and kept admit-predicts).
     fn admit_plan(&mut self, plan: &ScratchPlan) -> PlanId {
         let n = plan.len();
         let lowering = plan.lowering();
@@ -559,9 +559,12 @@ impl<'m> ProgramBuilder<'m> {
         for (k, node) in plan.nodes().iter().enumerate() {
             let kind = plan.kinds[k];
             let content = plan.contents[k];
-            let children: Vec<u32> =
-                lowering.children_of(k).iter().map(|&c| node_ids[c]).collect();
-            let key = SubtreeKey { content, children };
+            let kids = lowering.children_of(k);
+            let mut ids = [0; 2];
+            for (id, &c) in ids.iter_mut().zip(kids) {
+                *id = node_ids[c];
+            }
+            let key = SubtreeKey::new(content, &ids[..kids.len()]);
             if let Some(&id) = self.cse.get(&key) {
                 // An identical subtree is already resident: share its rows.
                 self.nodes[id as usize].refs += 1;
@@ -581,11 +584,11 @@ impl<'m> ProgramBuilder<'m> {
             let height = lowering.height_of(k) as u32;
             let row = self.alloc_row();
             child_rows.clear();
-            child_rows.extend(key.children.iter().map(|&c| self.nodes[c as usize].row));
+            child_rows.extend(key.children().iter().map(|&c| self.nodes[c as usize].row));
             let nid = self.alloc_node();
             let (step, slot) = self.place(height, kind, &feat, &child_rows, nid, row);
             self.nodes[nid as usize] =
-                SharedNode { row, refs: 1, step, slot, height, key: key.clone() };
+                SharedNode { row, refs: 1, step, slot, height, key };
             self.cse.insert(key, nid);
             self.live_nodes += 1;
             rows.push(row);
@@ -680,29 +683,19 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Decoded root-latency prediction (milliseconds) for one resident
-    /// plan, on the calling thread. Only the chunks holding rows admitted
-    /// since the last run execute; when every row is already computed
-    /// this is a decode. Clamped onto the structural envelope when the
-    /// builder was created with ratio caps (i.e. the model's configured
-    /// policy).
-    pub fn predict_root(&mut self, id: PlanId) -> f64 {
-        self.predict_root_threaded(id, 1)
-    }
-
-    /// [`ProgramBuilder::predict_root`] on `threads` workers (results are
-    /// bit-identical at any thread count).
+    /// plan, run on `threads` workers (results are bit-identical at any
+    /// thread count). Only the chunks holding rows admitted since the
+    /// last run execute; when every row is already computed this is a
+    /// decode. Clamped onto the structural envelope when the builder was
+    /// created with ratio caps (i.e. the model's configured policy).
     pub fn predict_root_threaded(&mut self, id: PlanId, threads: usize) -> f64 {
         self.run(threads);
         let preds = self.decode_plan(id);
         *preds.last().expect("plans are non-empty")
     }
 
-    /// Root predictions for every resident plan, in admission order.
-    pub fn predict_roots(&mut self) -> Vec<f64> {
-        self.predict_roots_threaded(1)
-    }
-
-    /// [`ProgramBuilder::predict_roots`] on `threads` workers.
+    /// Root predictions for every resident plan, in admission order, on
+    /// `threads` workers.
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
         self.run(threads);
         let ids: Vec<u64> = self.plans.keys().copied().collect();
@@ -712,12 +705,7 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Per-operator latency predictions (post order, milliseconds) for
-    /// one resident plan.
-    pub fn predict_all(&mut self, id: PlanId) -> Vec<f64> {
-        self.predict_all_threaded(id, 1)
-    }
-
-    /// [`ProgramBuilder::predict_all`] on `threads` workers.
+    /// one resident plan, on `threads` workers.
     pub fn predict_all_threaded(&mut self, id: PlanId, threads: usize) -> Vec<f64> {
         self.run(threads);
         self.decode_plan(id)
@@ -747,13 +735,31 @@ impl<'m> ProgramBuilder<'m> {
         let id = self.admit_plan(plan);
         let featurize_ns = t0.elapsed().as_nanos() as u64;
         let t1 = std::time::Instant::now();
-        let latency_ms = self.predict_root(id);
+        let latency_ms = self.predict_root_threaded(id, 1);
         self.retire(id);
         let run_ns = t1.elapsed().as_nanos() as u64;
         // `key_scratch` still holds this plan's key from the missed probe
         // above — admission, the run and retire never touch it.
         self.pred_cache.insert(&self.key_scratch, latency_ms);
         OneshotRun { latency_ms, featurize_ns, run_ns, cache_hit: false }
+    }
+
+    /// Kept admit-predict: admits `plan` (it stays resident under the
+    /// returned id), then answers its root prediction from the whole-plan
+    /// memo, running the stale chunks and seeding the memo only on a
+    /// miss. A hit leaves the new rows stale for the next run that needs
+    /// them (module docs, fact 4); the bits equal `admit` →
+    /// `predict_root_threaded` either way.
+    fn admit_predict(&mut self, plan: &ScratchPlan) -> (PlanId, f64) {
+        let id = self.admit_plan(plan);
+        if let Some(latency_ms) = self.cache_probe(plan) {
+            return (id, latency_ms);
+        }
+        let latency_ms = self.predict_root_threaded(id, 1);
+        // The run never touches `key_scratch`, so it still holds this
+        // plan's key from the missed probe.
+        self.pred_cache.insert(&self.key_scratch, latency_ms);
+        (id, latency_ms)
     }
 
     /// Caps the prediction memo's entry count (generational reset on
@@ -790,14 +796,6 @@ impl<'m> ProgramBuilder<'m> {
             self.pred_cache.hit_ns += tc.elapsed().as_nanos() as u64;
         }
         hit
-    }
-
-    /// Memoizes a freshly-computed prediction. Re-assembles the key:
-    /// between a micro-batch's probes and its inserts, other members'
-    /// probes clobber `key_scratch`.
-    fn cache_insert(&mut self, plan: &ScratchPlan, latency_ms: f64) {
-        self.scratch_key(plan);
-        self.pred_cache.insert(&self.key_scratch, latency_ms);
     }
 
     /// True when some live chunk holds a row no run has computed yet.
@@ -973,13 +971,9 @@ impl<'m> ProgramBuilder<'m> {
     /// back-pointer), drops the chunk entirely when it empties, and
     /// recycles the output row.
     fn release_node(&mut self, nid: u32) {
-        // The slot is being freed, so its key moves out (`alloc_node`'s
-        // caller overwrites every field on reuse).
-        let (key, sid, slot, height, row) = {
-            let node = &mut self.nodes[nid as usize];
-            let key = std::mem::take(&mut node.key);
-            (key, node.step as usize, node.slot as usize, node.height, node.row)
-        };
+        let node = &self.nodes[nid as usize];
+        let (key, sid, slot, height, row) =
+            (node.key, node.step as usize, node.slot as usize, node.height, node.row);
         let removed = self.cse.remove(&key);
         debug_assert_eq!(removed, Some(nid), "CSE map out of sync with node slab");
 
@@ -1191,12 +1185,10 @@ pub struct OneshotRun {
 
 /// Shard-per-core resident serving: `S` independent [`ProgramBuilder`]
 /// shards behind one front door. [`ShardedStream::admit`] routes each
-/// plan to a shard by [content hash](NodeContentKey) — admissions to
-/// different shards touch disjoint state, so a batch of arrivals admits
-/// in parallel on the resident [`Executor`] with no contention
-/// ([`ShardedStream::admit_batch`]) — and coalesced prediction runs the
-/// non-empty shards concurrently, one resident worker per shard
-/// ([`ShardedStream::predict_roots_threaded`]).
+/// plan to a shard by [content hash](NodeContentKey), so admissions to
+/// different shards touch disjoint state, and a whole-set prediction
+/// runs the stale shards concurrently, one resident [`Executor`] worker
+/// per shard ([`ShardedStream::predict_roots_threaded`]).
 ///
 /// # Determinism
 ///
@@ -1268,82 +1260,40 @@ impl<'m> ShardedStream<'m> {
     /// contract as [`ProgramBuilder::admit`]: a malformed plan panics
     /// before any shard state is touched.
     pub fn admit(&mut self, root: &PlanNode) -> PlanId {
+        self.admit_routed(root, |shard, plan| (shard.admit_plan(plan), ())).0
+    }
+
+    /// Admits one plan, routed like [`ShardedStream::admit`], and returns
+    /// its id with its root prediction: a whole-plan memo hit answers
+    /// without running, a miss runs the owning shard's stale chunks and
+    /// then seeds the memo. The plan stays resident either way. This is
+    /// the daemon's kept `admit_predict`.
+    pub fn admit_predict(&mut self, root: &PlanNode) -> (PlanId, f64) {
+        self.admit_routed(root, ProgramBuilder::admit_predict)
+    }
+
+    /// Lowers `root` into the reusable scratch, hands it to its
+    /// content-hash shard's `admit`, and registers the returned inner id
+    /// under a fresh outer id.
+    fn admit_routed<T>(
+        &mut self,
+        root: &PlanNode,
+        admit: impl FnOnce(&mut ProgramBuilder<'m>, &ScratchPlan) -> (PlanId, T),
+    ) -> (PlanId, T) {
         let mut plan = std::mem::take(&mut self.scratch);
         plan.rebuild_from_tree(root);
         let shard = self.shard_of(&plan);
-        let inner = self.shards[shard].admit_plan(&plan);
+        let (inner, out) = admit(&mut self.shards[shard], &plan);
         self.scratch = plan;
         let id = self.next_id;
         self.next_id += 1;
         self.routes.insert(id, (shard, inner));
-        PlanId(id)
+        (PlanId(id), out)
     }
 
     /// The content-hash shard of a plan (see [`ScratchPlan::shard_hash`]).
     fn shard_of(&self, plan: &ScratchPlan) -> usize {
         (plan.shard_hash() % self.shards.len() as u64) as usize
-    }
-
-    /// Admits a batch of plans, with admissions to *different* shards
-    /// proceeding concurrently on `threads` resident workers. Returned
-    /// ids are in argument order, and all bookkeeping (ids, routing) is
-    /// identical to calling [`ShardedStream::admit`] in a loop — only the
-    /// wall-clock differs.
-    ///
-    /// # Panics
-    /// Panics if any plan is malformed (propagated off the worker that
-    /// hit it). Plans of the batch admitted before the panic stay
-    /// resident but unreachable — callers treating admission panics as
-    /// recoverable should admit one at a time.
-    pub fn admit_batch(&mut self, roots: &[&PlanNode], threads: usize) -> Vec<PlanId> {
-        self.admit_plans(&lower_all(roots), threads)
-    }
-
-    /// [`ShardedStream::admit_batch`] of plans already in [`ScratchPlan`]
-    /// form.
-    fn admit_plans(&mut self, plans: &[ScratchPlan], threads: usize) -> Vec<PlanId> {
-        // Route up front (cheap, pure), so the parallel section below
-        // works on a fixed partition of disjoint shards.
-        let routed: Vec<usize> = plans.iter().map(|p| self.shard_of(p)).collect();
-        let threads = threads.clamp(1, self.shards.len());
-        let mut inner: Vec<Option<PlanId>> = vec![None; plans.len()];
-        if threads <= 1 {
-            for (k, (&shard, plan)) in routed.iter().zip(plans).enumerate() {
-                inner[k] = Some(self.shards[shard].admit_plan(plan));
-            }
-        } else {
-            let shards_addr = self.shards.as_mut_ptr() as usize;
-            let inner_addr = inner.as_mut_ptr() as usize;
-            let routed = &routed;
-            Executor::global().run(threads, &move |worker, _pool| {
-                // Worker `w` owns shards w, w+threads, … — every plan of
-                // a given shard is admitted by exactly one worker, in
-                // argument order (preserving per-shard admission order).
-                for (k, &shard) in routed.iter().enumerate() {
-                    if shard % threads != worker {
-                        continue;
-                    }
-                    // SAFETY: shard indices are dealt disjointly across
-                    // workers (mod `threads`), and result slot `k`
-                    // belongs to exactly one (plan, shard) pair, so both
-                    // `&mut` borrows are unaliased for the run's
-                    // duration. `run` blocks until all workers finish.
-                    unsafe {
-                        let builder = &mut *(shards_addr as *mut ProgramBuilder<'m>).add(shard);
-                        *(inner_addr as *mut Option<PlanId>).add(k) =
-                            Some(builder.admit_plan(&plans[k]));
-                    }
-                }
-            });
-        }
-        let mut ids = Vec::with_capacity(plans.len());
-        for (k, &shard) in routed.iter().enumerate() {
-            let id = self.next_id;
-            self.next_id += 1;
-            self.routes.insert(id, (shard, inner[k].take().expect("admitted above")));
-            ids.push(PlanId(id));
-        }
-        ids
     }
 
     /// Retires a resident plan from its shard (see
@@ -1387,11 +1337,6 @@ impl<'m> ShardedStream<'m> {
         self.shards[shard].predict_root_threaded(inner, threads)
     }
 
-    /// [`ShardedStream::predict_root_threaded`] on the calling thread.
-    pub fn predict_root(&mut self, id: PlanId) -> f64 {
-        self.predict_root_threaded(id, 1)
-    }
-
     /// One-shot root prediction of a non-resident plan (see
     /// [`ProgramBuilder::predict_oneshot`]), run on the same content-hash
     /// shard [`ShardedStream::admit`] would pick — so it shares rows with,
@@ -1410,25 +1355,11 @@ impl<'m> ShardedStream<'m> {
         }
     }
 
-    /// Memo probe, routed to the same content-hash shard
-    /// [`ShardedStream::admit`] picks — so one coherent per-shard memo is
-    /// warmed by every surface.
-    fn cache_probe(&mut self, plan: &ScratchPlan) -> Option<f64> {
-        let shard = self.shard_of(plan);
-        self.shards[shard].cache_probe(plan)
-    }
-
-    /// Memoizes a freshly-computed prediction on its content-hash shard.
-    fn cache_insert(&mut self, plan: &ScratchPlan, latency_ms: f64) {
-        let shard = self.shard_of(plan);
-        self.shards[shard].cache_insert(plan, latency_ms);
-    }
-
     /// Per-operator predictions (post order, milliseconds) for one
     /// resident plan, from its owning shard.
     pub fn predict_all(&mut self, id: PlanId) -> Vec<f64> {
         let &(shard, inner) = self.route(id);
-        self.shards[shard].predict_all(inner)
+        self.shards[shard].predict_all_threaded(inner, 1)
     }
 
     /// Root predictions for every resident plan (admission order), with
@@ -1436,32 +1367,10 @@ impl<'m> ShardedStream<'m> {
     /// worker per shard, each shard's schedule sequential, so the bits
     /// match single-builder execution exactly (see the type docs).
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
-        let all: Vec<usize> = (0..self.shards.len()).collect();
-        self.run_shards(&all, threads);
+        self.run_shards(threads);
         self.routes
             .values()
             .map(|&(shard, inner)| {
-                *self.shards[shard].decode_plan(inner).last().expect("plans are non-empty")
-            })
-            .collect()
-    }
-
-    /// [`ShardedStream::predict_roots_threaded`] on the calling thread.
-    pub fn predict_roots(&mut self) -> Vec<f64> {
-        self.predict_roots_threaded(1)
-    }
-
-    /// Root predictions for a specific id set (argument order), running
-    /// only the shards those ids live on — the decode half of a
-    /// micro-batched request (see [`MicroBatcher`]).
-    pub fn predict_batch_threaded(&mut self, ids: &[PlanId], threads: usize) -> Vec<f64> {
-        let mut todo: Vec<usize> = ids.iter().map(|&id| self.route(id).0).collect();
-        todo.sort_unstable();
-        todo.dedup();
-        self.run_shards(&todo, threads);
-        ids.iter()
-            .map(|&id| {
-                let &(shard, inner) = self.route(id);
                 *self.shards[shard].decode_plan(inner).last().expect("plans are non-empty")
             })
             .collect()
@@ -1506,15 +1415,13 @@ impl<'m> ShardedStream<'m> {
             .unwrap_or_else(|| panic!("plan {id:?} is not resident (already retired?)"))
     }
 
-    /// Runs the shards in `todo` (distinct indices) that have stale
-    /// chunks, concurrently when `threads > 1`: worker `w` executes the
-    /// `w`-th, `(w + threads)`-th, … of them — each shard sequentially on
-    /// that worker's thread, so per-shard output bits are
-    /// thread-count-invariant. Shards with nothing stale are dropped
-    /// before dispatch.
-    fn run_shards(&mut self, todo: &[usize], threads: usize) {
+    /// Runs the shards that have stale chunks, concurrently when
+    /// `threads > 1`: worker `w` executes the `w`-th, `(w + threads)`-th,
+    /// … of them — each shard sequentially on that worker's thread, so
+    /// per-shard output bits are thread-count-invariant.
+    fn run_shards(&mut self, threads: usize) {
         let todo: Vec<usize> =
-            todo.iter().copied().filter(|&s| self.shards[s].has_stale()).collect();
+            (0..self.shards.len()).filter(|&s| self.shards[s].has_stale()).collect();
         if todo.is_empty() {
             return;
         }
@@ -1536,155 +1443,6 @@ impl<'m> ShardedStream<'m> {
                 shard.run(1);
             }
         });
-    }
-}
-
-/// Lowers each plan tree once into its own [`ScratchPlan`] — the front
-/// door of the batch surfaces, which then route, admit and key from it.
-fn lower_all(roots: &[&PlanNode]) -> Vec<ScratchPlan> {
-    roots
-        .iter()
-        .map(|root| {
-            let mut plan = ScratchPlan::new();
-            plan.rebuild_from_tree(root);
-            plan
-        })
-        .collect()
-}
-
-/// Statistics of a [`MicroBatcher`] front door: how many coalesced runs
-/// it issued and how wide they were (the whole point of micro-batching is
-/// pushing mean width above 1 so the per-family gemms amortize).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MicroBatchStats {
-    /// Coalesced flushes issued (each is one admit-batch + one
-    /// heterogeneous wavefront run over the touched shards).
-    pub batches: u64,
-    /// Predict requests absorbed across all flushes.
-    pub requests: u64,
-    /// Requests answered from the whole-plan memo — admitted like every
-    /// other member (residency is unchanged) but excluded from the
-    /// wavefront run.
-    pub cache_hits: u64,
-}
-
-impl MicroBatchStats {
-    /// Mean requests coalesced per flush (0 when nothing flushed).
-    pub fn mean_width(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.requests as f64 / self.batches as f64
-        }
-    }
-}
-
-impl std::fmt::Display for MicroBatchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} batches coalesced, {} requests (mean width {:.2})",
-            self.batches,
-            self.requests,
-            self.mean_width()
-        )
-    }
-}
-
-/// Micro-batching front door over a [`ShardedStream`]: concurrent predict
-/// requests are [`MicroBatcher::submit`]ted as they arrive, then one
-/// [`MicroBatcher::flush`] admits them all (in parallel across shards),
-/// executes **one** coalesced heterogeneous wavefront run, and returns
-/// every answer. The engine batches by `(height, family)`, so requests
-/// that share operator families share gemm calls — cross-request batching
-/// is exactly where gemm-per-family pays, and it is accuracy-free: each
-/// plan's bits are independent of what else is in the batch (row
-/// invariance, see the [module docs](self)).
-///
-/// Flushed plans are retired immediately (a predict request is one-shot);
-/// callers that want plans to stay resident should drive the
-/// [`ShardedStream`] directly.
-#[derive(Debug, Default)]
-pub struct MicroBatcher<'p> {
-    pending: Vec<&'p PlanNode>,
-    stats: MicroBatchStats,
-}
-
-impl<'p> MicroBatcher<'p> {
-    /// An empty front door.
-    pub fn new() -> MicroBatcher<'p> {
-        MicroBatcher::default()
-    }
-
-    /// Queues one predict request for the next flush.
-    pub fn submit(&mut self, plan: &'p PlanNode) {
-        self.pending.push(plan);
-    }
-
-    /// Requests queued for the next flush.
-    pub fn pending(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Coalesces every queued request into one batched admission + one
-    /// wavefront run on `stream`, returning root predictions in submit
-    /// order (bit-identical to one-at-a-time serving). The flushed plans
-    /// are retired before returning.
-    pub fn flush(&mut self, stream: &mut ShardedStream<'_>, threads: usize) -> Vec<f64> {
-        let (ids, preds) = self.flush_resident(stream, threads);
-        for id in ids {
-            stream.retire(id);
-        }
-        preds
-    }
-
-    /// [`MicroBatcher::flush`] for window-managed serving: the flushed
-    /// plans **stay resident** and their ids are returned alongside the
-    /// predictions, so an admission-control loop can retire them on its
-    /// own schedule (e.g. when the query finishes).
-    pub fn flush_resident(
-        &mut self,
-        stream: &mut ShardedStream<'_>,
-        threads: usize,
-    ) -> (Vec<PlanId>, Vec<f64>) {
-        if self.pending.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        self.stats.batches += 1;
-        self.stats.requests += self.pending.len() as u64;
-        // Admission is unchanged by the memo — resident bookkeeping (ids,
-        // routing, CSE rows) is what a memo-free flush would leave. Only
-        // the wavefront run shrinks: members whose whole-plan key is
-        // memoized take their prediction from the memo and drop out of
-        // the coalesced run; the rest run and then seed the memo.
-        let plans = lower_all(&self.pending);
-        let ids = stream.admit_plans(&plans, threads);
-        let mut preds: Vec<Option<f64>> = plans.iter().map(|p| stream.cache_probe(p)).collect();
-        let miss_ids: Vec<PlanId> = ids
-            .iter()
-            .zip(&preds)
-            .filter(|(_, p)| p.is_none())
-            .map(|(&id, _)| id)
-            .collect();
-        self.stats.cache_hits += (ids.len() - miss_ids.len()) as u64;
-        if !miss_ids.is_empty() {
-            let fresh = stream.predict_batch_threaded(&miss_ids, threads);
-            let mut fresh = fresh.into_iter();
-            for (k, slot) in preds.iter_mut().enumerate() {
-                if slot.is_none() {
-                    let v = fresh.next().expect("one prediction per miss");
-                    stream.cache_insert(&plans[k], v);
-                    *slot = Some(v);
-                }
-            }
-        }
-        self.pending.clear();
-        (ids, preds.into_iter().map(|p| p.expect("filled above")).collect())
-    }
-
-    /// Coalescing statistics across the batcher's lifetime.
-    pub fn stats(&self) -> MicroBatchStats {
-        self.stats
     }
 }
 
@@ -1715,6 +1473,18 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Lowers each plan tree into its own [`ScratchPlan`].
+    fn lower_all(roots: &[&PlanNode]) -> Vec<ScratchPlan> {
+        roots
+            .iter()
+            .map(|root| {
+                let mut plan = ScratchPlan::new();
+                plan.rebuild_from_tree(root);
+                plan
+            })
+            .collect()
+    }
+
     fn fresh_compile_roots(
         fz: &Featurizer,
         wh: &Whitener,
@@ -1724,7 +1494,7 @@ mod tests {
     ) -> Vec<f64> {
         let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(fz, wh, units, &roots);
-        program.predict_roots(units, codec)
+        program.predict_roots_threaded(units, codec, None, 1)
     }
 
     #[test]
@@ -1735,7 +1505,7 @@ mod tests {
         for plan in ds.plans.iter().take(12) {
             builder.admit(&plan.root);
             resident.push(plan);
-            let incremental = builder.predict_roots();
+            let incremental = builder.predict_roots_threaded(1);
             let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &resident);
             assert_eq!(bits(&incremental), bits(&fresh), "after admitting {}", resident.len());
         }
@@ -1752,7 +1522,7 @@ mod tests {
             builder.retire(*id);
         }
         let survivors: Vec<&Plan> = ds.plans.iter().take(10).skip(1).step_by(2).collect();
-        let incremental = builder.predict_roots();
+        let incremental = builder.predict_roots_threaded(1);
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &survivors);
         assert_eq!(bits(&incremental), bits(&fresh));
         assert_eq!(builder.len(), survivors.len());
@@ -1761,7 +1531,7 @@ mod tests {
         let mut with_new: Vec<&Plan> = survivors.clone();
         with_new.push(&ds.plans[0]);
         assert_eq!(
-            bits(&builder.predict_roots()),
+            bits(&builder.predict_roots_threaded(1)),
             bits(&fresh_compile_roots(&fz, &wh, &units, &codec, &with_new))
         );
     }
@@ -1775,15 +1545,15 @@ mod tests {
         let ids: Vec<PlanId> = plans.iter().map(|p| builder.admit(&p.root)).collect();
         let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-        let fresh = program.predict_roots_clamped(&units, &codec, &caps);
-        assert_eq!(bits(&builder.predict_roots()), bits(&fresh));
+        let fresh = program.predict_roots_threaded(&units, &codec, Some(&caps), 1);
+        assert_eq!(bits(&builder.predict_roots_threaded(1)), bits(&fresh));
         // Per-plan predictors agree with the batch view.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(builder.predict_root(*id).to_bits(), fresh[i].to_bits());
+            assert_eq!(builder.predict_root_threaded(*id, 1).to_bits(), fresh[i].to_bits());
         }
-        let all = program.predict_all_clamped(&units, &codec, &caps);
+        let all = program.predict_all_threaded(&units, &codec, Some(&caps), 1);
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(bits(&builder.predict_all(*id)), bits(&all[i]));
+            assert_eq!(bits(&builder.predict_all_threaded(*id, 1)), bits(&all[i]));
         }
     }
 
@@ -1805,14 +1575,14 @@ mod tests {
         // compile (which computes each copy separately).
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[plan]);
         for id in &ids {
-            assert_eq!(builder.predict_root(*id).to_bits(), fresh[0].to_bits());
+            assert_eq!(builder.predict_root_threaded(*id, 1).to_bits(), fresh[0].to_bits());
         }
         // Retiring three copies keeps the shared rows alive for the last.
         for id in &ids[..3] {
             builder.retire(*id);
         }
         assert_eq!(builder.stats().shared_rows, plan.node_count());
-        assert_eq!(builder.predict_root(ids[3]).to_bits(), fresh[0].to_bits());
+        assert_eq!(builder.predict_root_threaded(ids[3], 1).to_bits(), fresh[0].to_bits());
         // Retiring the last releases everything.
         builder.retire(ids[3]);
         let empty = builder.stats();
@@ -1895,7 +1665,7 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         builder.admit(&ds.plans[0].root);
-        let before = builder.predict_roots();
+        let before = builder.predict_roots_threaded(1);
         let before_stats = builder.stats();
         use qpp_plansim::operators::{JoinAlgorithm, JoinType, Operator, ParentRel};
         // The malformed node is the ROOT (last in post order) above a
@@ -1915,7 +1685,7 @@ mod tests {
         assert_eq!(after.shared_rows, before_stats.shared_rows, "rejected admit leaked rows");
         assert_eq!(after.steps, before_stats.steps, "rejected admit leaked chunks");
         assert_eq!(builder.len(), 1);
-        assert_eq!(bits(&builder.predict_roots()), bits(&before));
+        assert_eq!(bits(&builder.predict_roots_threaded(1)), bits(&before));
     }
 
     #[test]
@@ -1923,7 +1693,7 @@ mod tests {
         let (_, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         assert!(builder.is_empty());
-        assert!(builder.predict_roots().is_empty());
+        assert!(builder.predict_roots_threaded(1).is_empty());
         assert!(builder.stats().to_string().contains("0 resident plans"));
     }
 
@@ -1934,7 +1704,7 @@ mod tests {
         for p in &ds.plans {
             builder.admit(&p.root);
         }
-        let base = builder.predict_roots();
+        let base = builder.predict_roots_threaded(1);
         for threads in [2, 4, 8] {
             assert_eq!(bits(&builder.predict_roots_threaded(threads)), bits(&base));
         }
@@ -1955,20 +1725,20 @@ mod tests {
         assert_eq!(sharded.num_shards(), 3);
         // Batch views agree at every thread count, and per-plan views
         // agree with the single builder.
-        let base = single.predict_roots();
+        let base = single.predict_roots_threaded(1);
         for threads in [1, 2, 4] {
             assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&base));
         }
         for (s, d) in single_ids.iter().zip(&sharded_ids) {
-            assert_eq!(sharded.predict_root(*d).to_bits(), single.predict_root(*s).to_bits());
-            assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all(*s)));
+            assert_eq!(sharded.predict_root_threaded(*d, 1).to_bits(), single.predict_root_threaded(*s, 1).to_bits());
+            assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all_threaded(*s, 1)));
         }
         // Retire half; survivors still agree.
         for (s, d) in single_ids.iter().zip(&sharded_ids).step_by(2) {
             single.retire(*s);
             sharded.retire(*d);
         }
-        assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots()));
+        assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots_threaded(1)));
         assert!(sharded.contains(sharded_ids[1]) && !sharded.contains(sharded_ids[0]));
     }
 
@@ -1993,39 +1763,20 @@ mod tests {
     }
 
     #[test]
-    fn admit_batch_matches_sequential_admission() {
-        let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
-        let mut seq = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut par = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let roots: Vec<&PlanNode> = ds.plans.iter().take(10).map(|p| &p.root).collect();
-        let seq_ids: Vec<PlanId> = roots.iter().map(|r| seq.admit(r)).collect();
-        let par_ids = par.admit_batch(&roots, 4);
-        assert_eq!(seq_ids, par_ids, "ids must be identical to the sequential loop");
-        assert_eq!(bits(&par.predict_roots_threaded(4)), bits(&seq.predict_roots()));
-    }
-
-    #[test]
-    fn microbatcher_coalesces_and_matches_oneshot_serving() {
+    fn a_burst_admitted_then_predicted_matches_oneshot_serving() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut stream = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut front = MicroBatcher::new();
-        assert!(front.flush(&mut stream, 4).is_empty(), "empty flush is a no-op");
-        for p in ds.plans.iter().take(8) {
-            front.submit(&p.root);
+        let ids: Vec<PlanId> = ds.plans.iter().take(8).map(|p| stream.admit(&p.root)).collect();
+        let burst: Vec<f64> = ids.iter().map(|&id| stream.predict_root_threaded(id, 4)).collect();
+        for id in ids {
+            stream.retire(id);
         }
-        assert_eq!(front.pending(), 8);
-        let batched = front.flush(&mut stream, 4);
-        assert_eq!(front.pending(), 0);
-        assert!(stream.is_empty(), "one-shot requests retire after the flush");
+        assert!(stream.is_empty());
         // Bit-identical to serving each request alone on a fresh builder.
-        for (p, got) in ds.plans.iter().take(8).zip(&batched) {
+        for (p, got) in ds.plans.iter().take(8).zip(&burst) {
             let alone = fresh_compile_roots(&fz, &wh, &units, &codec, &[p]);
             assert_eq!(got.to_bits(), alone[0].to_bits());
         }
-        let stats = front.stats();
-        assert_eq!((stats.batches, stats.requests), (1, 8));
-        assert!((stats.mean_width() - 8.0).abs() < 1e-12);
-        assert!(stats.to_string().contains("mean width"));
     }
 
     #[test]
@@ -2101,7 +1852,7 @@ mod tests {
                 sp.rebuild_from_tree(&p.root);
                 let fast = builder.predict_oneshot(&sp);
                 let id = builder.admit(&p.root);
-                let slow = builder.predict_root(id);
+                let slow = builder.predict_root_threaded(id, 1);
                 builder.retire(id);
                 assert_eq!(
                     fast.latency_ms.to_bits(),
@@ -2122,7 +1873,7 @@ mod tests {
             sp.rebuild_from_tree(&p.root);
             let fast = sharded.predict_oneshot(&sp);
             let id = sharded.admit(&p.root);
-            let slow = sharded.predict_root(id);
+            let slow = sharded.predict_root_threaded(id, 1);
             sharded.retire(id);
             assert_eq!(fast.latency_ms.to_bits(), slow.to_bits());
         }
@@ -2196,32 +1947,33 @@ mod tests {
     }
 
     #[test]
-    fn microbatcher_memo_hits_drop_out_of_the_run_bitwise() {
+    fn kept_admit_predict_memo_hits_skip_the_run_bitwise() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut cached = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut front = MicroBatcher::new();
         let mut batch: Vec<&Plan> = ds.plans.iter().take(6).collect();
-        // A duplicate *within* one batch: both members probe before either
-        // inserts, so the first round runs both.
+        // A repeat within one round: the second copy hits the memo the
+        // first one seeded.
         batch.push(&ds.plans[0]);
         // The memo-free reference: a fresh compile of each plan alone.
         let fresh: Vec<f64> = batch
             .iter()
             .map(|p| fresh_compile_roots(&fz, &wh, &units, &codec, &[p])[0])
             .collect();
-        for _round in 0..3 {
-            for p in &batch {
-                front.submit(&p.root);
+        for round in 0..3 {
+            let ran = cached.stats().steps_run;
+            let (ids, got): (Vec<PlanId>, Vec<f64>) =
+                batch.iter().map(|p| cached.admit_predict(&p.root)).unzip();
+            assert_eq!(bits(&got), bits(&fresh), "memoized admit-predict drifted");
+            if round > 0 {
+                assert_eq!(cached.stats().steps_run, ran, "round {round}: memo hits must not run");
             }
-            let got = front.flush(&mut cached, 4);
-            assert_eq!(bits(&got), bits(&fresh), "memoized flush drifted from a fresh compile");
+            for id in ids {
+                cached.retire(id);
+            }
         }
         assert!(cached.is_empty());
-        assert!(
-            front.stats().cache_hits >= 14,
-            "rounds 2 and 3 must serve every member from the memo (got {})",
-            front.stats().cache_hits
-        );
+        let hits = cached.stats().pred_cache_hits;
+        assert!(hits >= 14, "rounds 2 and 3 must serve every member from the memo (got {hits})");
     }
 
     #[test]
@@ -2229,14 +1981,14 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         let ids: Vec<PlanId> = ds.plans.iter().take(6).map(|p| builder.admit(&p.root)).collect();
-        let first = builder.predict_root(ids[0]);
+        let first = builder.predict_root_threaded(ids[0], 1);
         let ran = builder.stats();
         assert_eq!(ran.steps_run, ran.steps as u64, "the first run computes every chunk");
         assert_eq!(ran.rows_run, ran.shared_rows as u64);
         for &id in ids.iter().rev() {
             builder.predict_root_threaded(id, 4);
         }
-        assert_eq!(builder.predict_root(ids[0]).to_bits(), first.to_bits());
+        assert_eq!(builder.predict_root_threaded(ids[0], 1).to_bits(), first.to_bits());
         let again = builder.stats();
         assert_eq!((again.steps_run, again.rows_run), (ran.steps_run, ran.rows_run));
         assert!(again.to_string().contains(&format!("ran {} steps", ran.steps_run)));
@@ -2251,7 +2003,7 @@ mod tests {
         let (a, b, c) = (by_size[0], by_size[1], by_size[by_size.len() - 1]);
         let id_a = builder.admit(&a.root);
         let id_b = builder.admit(&b.root);
-        builder.predict_roots();
+        builder.predict_roots_threaded(1);
         let (high_water, chunks) = (builder.outputs.rows(), builder.steps.len());
         builder.retire(id_a);
         let id_c = builder.admit(&c.root);
@@ -2259,10 +2011,10 @@ mod tests {
         assert_eq!(builder.steps.len(), chunks, "C must take A's freed chunk slots");
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[b, c]);
         let before = builder.stats().steps_run;
-        assert_eq!(builder.predict_root(id_c).to_bits(), fresh[1].to_bits());
+        assert_eq!(builder.predict_root_threaded(id_c, 1).to_bits(), fresh[1].to_bits());
         let after_c = builder.stats().steps_run;
         assert!(after_c > before, "C's chunks must run");
-        assert_eq!(builder.predict_root(id_b).to_bits(), fresh[0].to_bits());
+        assert_eq!(builder.predict_root_threaded(id_b, 1).to_bits(), fresh[0].to_bits());
         assert_eq!(builder.stats().steps_run, after_c, "B is only decoded");
     }
 
@@ -2270,22 +2022,20 @@ mod tests {
     fn a_memo_skipped_admission_is_computed_by_the_next_predict() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut stream = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-        let mut front = MicroBatcher::new();
         for p in ds.plans.iter().take(4) {
             // Warm the memo, leaving nothing resident.
-            front.submit(&p.root);
-            front.flush(&mut stream, 1);
+            let (id, _) = stream.admit_predict(&p.root);
+            stream.retire(id);
             let ran = stream.stats().steps_run;
-            front.submit(&p.root);
-            let (ids, preds) = front.flush_resident(&mut stream, 1);
+            let (id, pred) = stream.admit_predict(&p.root);
             assert_eq!(stream.stats().steps_run, ran, "a memo hit must skip the run");
             let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[p]);
-            assert_eq!(preds[0].to_bits(), fresh[0].to_bits());
-            assert_eq!(stream.predict_root(ids[0]).to_bits(), fresh[0].to_bits());
+            assert_eq!(pred.to_bits(), fresh[0].to_bits());
+            assert_eq!(stream.predict_root_threaded(id, 1).to_bits(), fresh[0].to_bits());
             assert!(stream.stats().steps_run > ran, "the skipped rows must run now");
-            stream.retire(ids[0]);
+            stream.retire(id);
         }
-        assert_eq!(front.stats().cache_hits, 4);
+        assert_eq!(stream.stats().pred_cache_hits, 4);
     }
 
     #[test]

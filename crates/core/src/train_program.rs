@@ -252,8 +252,8 @@ type TapeParts = (BufferPool, Vec<GradSet>, Vec<f32>, PackedUnits);
 ///
 /// Compile once per batch (for full-batch training, once per *run* — the
 /// trainer reuses the tape across epochs), then per gradient step:
-/// [`ProgramTape::forward`] → [`ProgramTape::loss`] →
-/// [`ProgramTape::backward`], which accumulates summed-SSE weight
+/// [`ProgramTape::forward_threaded`] → [`ProgramTape::loss`] →
+/// [`ProgramTape::backward_threaded`], which accumulates summed-SSE weight
 /// gradients into the unit set exactly like
 /// [`crate::tree::TreeBatch::backward`] does — the caller normalizes and
 /// applies them. All buffers (step inputs, recorded activations, output
@@ -279,9 +279,9 @@ type TapeParts = (BufferPool, Vec<GradSet>, Vec<f32>, PackedUnits);
 /// let roots: Vec<_> = ds.plans.iter().map(|p| &p.root).collect();
 /// let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
 /// units.zero_grad();
-/// tape.forward(&units);
+/// tape.forward_threaded(&units, 1);
 /// let (sse, ops) = tape.loss();
-/// tape.backward(&mut units);           // grads now live in `units`
+/// tape.backward_threaded(&mut units, 1); // grads now live in `units`
 /// assert!(sse >= 0.0 && ops == tape.num_nodes());
 /// ```
 pub struct ProgramTape {
@@ -463,18 +463,13 @@ impl ProgramTape {
         );
     }
 
-    /// Runs the recording forward pass on the calling thread: levels
+    /// Runs the recording forward pass on `threads` workers: levels
     /// ascending, each step gathering child outputs into its input,
     /// running its unit layer by layer into the tape's activation buffers,
     /// and scattering the final activation into the global output rows.
-    pub fn forward(&mut self, units: &UnitSet) {
-        self.forward_threaded(units, 1)
-    }
-
-    /// [`ProgramTape::forward`] across `threads` workers on the shared
-    /// level-barrier executor. Bit-identical to the sequential pass at any
-    /// thread count: workers run the same kernels on the same tape
-    /// buffers — only the assignment of steps to workers changes.
+    /// Bit-identical at any thread count: workers run the same kernels on
+    /// the same tape buffers — only the assignment of steps to workers
+    /// changes (one thread runs the levels inline on the caller).
     pub fn forward_threaded(&mut self, units: &UnitSet, threads: usize) {
         self.check_units_width(units);
         // Refresh the packed panels from the authoritative weights (the
@@ -559,25 +554,19 @@ impl ProgramTape {
         (sse, self.targets.len())
     }
 
-    /// Runs the reverse sweep on the calling thread, accumulating weight
+    /// Runs the reverse sweep on `threads` workers, accumulating weight
     /// and bias gradients into `units` (summed with whatever is already
     /// there, exactly like [`crate::tree::TreeBatch::backward`]): levels
     /// descending, each step gathering its members' output gradients,
     /// walking its unit's layers in reverse, and scatter-adding child
-    /// gradient blocks onto the children's rows.
+    /// gradient blocks onto the children's rows. Each worker accumulates
+    /// into its own private gradient set against the shared read-only
+    /// weights, reduced into `units` after the sweep — equivalent to the
+    /// one-thread sweep up to f32 summation order (the same contract as
+    /// the legacy data-parallel trainer).
     ///
     /// Call [`ProgramTape::loss`] (after a forward) first — it seeds the
     /// gradient buffer this sweep drains.
-    pub fn backward(&mut self, units: &mut UnitSet) {
-        self.backward_threaded(units, 1)
-    }
-
-    /// [`ProgramTape::backward`] across `threads` workers: levels run
-    /// top-down on the shared executor, each worker accumulating into its
-    /// own private gradient set against the shared read-only weights,
-    /// reduced into `units` after the sweep. Equivalent to the sequential sweep up to
-    /// f32 summation order (the same contract as the legacy data-parallel
-    /// trainer).
     pub fn backward_threaded(&mut self, units: &mut UnitSet, threads: usize) {
         self.check_units_width(units);
         let threads = threads.min(max_level_width(&self.levels)).max(1);
@@ -873,7 +862,7 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH, 24, 5);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         let (sse, ops) = tape.loss();
         assert_eq!(ops, ds.plans.iter().map(|p| p.node_count()).sum::<usize>());
         assert_eq!(ops, tape.num_nodes());
@@ -885,7 +874,7 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs, 16, 9);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         let mut program = crate::infer::PlanProgram::compile(&fz, &wh, &units, &roots);
         program.run_parallel(&units, 1);
         // Same kernels, same grouping policy (shared WavefrontBuilder) —
@@ -901,9 +890,9 @@ mod tests {
 
         let mut seq_units = units.clone();
         seq_units.zero_grad();
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         let (seq_sse, _) = tape.loss();
-        tape.backward(&mut seq_units);
+        tape.backward_threaded(&mut seq_units, 1);
         let seq_out = tape.outputs.clone();
         let seq = grads_snapshot(&seq_units);
 
@@ -935,22 +924,22 @@ mod tests {
         let mut tape = ProgramTape::compile_from(&set, &chunk_a, &units, None);
         let mut scratch_units = units.clone();
         // Warm both sweeps so scratch buffers reach their high-water mark.
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         tape.loss();
-        tape.backward(&mut scratch_units);
+        tape.backward_threaded(&mut scratch_units, 1);
         // Recompile churn: after the first swap, steady-state recompiles
         // must not allocate fresh matrices (every take is served by the
         // recycled pool at or under its high-water mark).
         tape = ProgramTape::compile_from(&set, &chunk_b, &units, Some(tape));
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         tape.loss();
-        tape.backward(&mut scratch_units);
+        tape.backward_threaded(&mut scratch_units, 1);
         let watermark = tape.pool.available();
         for chunk in [&chunk_a, &chunk_b, &chunk_a] {
             tape = ProgramTape::compile_from(&set, chunk, &units, Some(tape));
-            tape.forward(&units);
+            tape.forward_threaded(&units, 1);
             tape.loss();
-            tape.backward(&mut scratch_units);
+            tape.backward_threaded(&mut scratch_units, 1);
             assert!(
                 tape.pool.available() <= watermark + 1,
                 "recompile grew the pool past its high-water mark"
@@ -965,14 +954,14 @@ mod tests {
         let mut fresh_tape = ProgramTape::compile(&fz, &wh, &codec, &units, &fresh_roots);
         let mut fresh_units = units.clone();
         fresh_units.zero_grad();
-        fresh_tape.forward(&units);
+        fresh_tape.forward_threaded(&units, 1);
         fresh_tape.loss();
-        fresh_tape.backward(&mut fresh_units);
+        fresh_tape.backward_threaded(&mut fresh_units, 1);
         let mut tape_units = units.clone();
         tape_units.zero_grad();
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         tape.loss();
-        tape.backward(&mut tape_units);
+        tape.backward_threaded(&mut tape_units, 1);
         assert_grads_close(&grads_snapshot(&tape_units), &grads_snapshot(&fresh_units), 1e-5);
     }
 
@@ -984,13 +973,13 @@ mod tests {
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
         units.zero_grad();
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         tape.loss();
-        tape.backward(&mut units);
+        tape.backward_threaded(&mut units, 1);
         let once = grads_snapshot(&units);
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         tape.loss();
-        tape.backward(&mut units);
+        tape.backward_threaded(&mut units, 1);
         let twice = grads_snapshot(&units);
         for ((gw1, _), (gw2, _)) in once.iter().zip(&twice) {
             for (a, b) in gw1.as_slice().iter().zip(gw2.as_slice()) {
@@ -1014,9 +1003,9 @@ mod tests {
         let (_, fz, wh, mut units, codec) = setup(Workload::TpcH, 4, 3);
         let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &[]);
         units.zero_grad();
-        tape.forward(&units);
+        tape.forward_threaded(&units, 1);
         let (sse, ops) = tape.loss();
-        tape.backward(&mut units);
+        tape.backward_threaded(&mut units, 1);
         assert_eq!((sse, ops), (0.0, 0));
         assert_eq!(tape.num_plans(), 0);
     }

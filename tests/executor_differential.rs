@@ -26,9 +26,7 @@
 use proptest::prelude::*;
 use qpp::net::config::{TargetCodec, TargetTransform};
 use qpp::net::tree::fit_ratio_caps;
-use qpp::net::{
-    MicroBatcher, PlanId, PlanProgram, ProgramBuilder, QppConfig, ShardedStream, UnitSet,
-};
+use qpp::net::{PlanId, PlanProgram, ProgramBuilder, QppConfig, ShardedStream, UnitSet};
 use qpp::nn::Executor;
 use qpp::plansim::features::{Featurizer, Whitener};
 use qpp::plansim::prelude::*;
@@ -70,14 +68,13 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
                 let root = &ds.plans[pick].root;
                 resident.push((sharded.admit(root), single.admit(root)));
             }
-            // Admit a small batch through the parallel admission path.
+            // Admit a small burst, one arrival at a time.
             1 => {
                 let roots: Vec<&PlanNode> = (0..op_rng.gen_range(1..4))
                     .map(|_| &ds.plans[op_rng.gen_range(0..ds.plans.len())].root)
                     .collect();
-                let sharded_ids = sharded.admit_batch(&roots, 4);
-                for (root, sid) in roots.iter().zip(sharded_ids) {
-                    resident.push((sid, single.admit(root)));
+                for root in roots {
+                    resident.push((sharded.admit(root), single.admit(root)));
                 }
             }
             // Retire a random resident plan from both.
@@ -90,7 +87,7 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
             // Concurrent predict across shards vs sequential single
             // builder, at every thread count.
             _ => {
-                let want = single.predict_roots();
+                let want = single.predict_roots_threaded(1);
                 for threads in [1usize, 2, 4, 8] {
                     let got = sharded.predict_roots_threaded(threads);
                     assert_eq!(
@@ -106,10 +103,13 @@ fn sharded_churn_matches_single_builder(workload: Workload, seed: u64, clamped: 
     }
     // Final checkpoint: batch view, per-plan roots and per-operator rows.
     assert_eq!(sharded.len(), single.len());
-    assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots()));
+    assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots_threaded(1)));
     for &(sid, bid) in &resident {
-        assert_eq!(sharded.predict_root(sid).to_bits(), single.predict_root(bid).to_bits());
-        assert_eq!(bits(&sharded.predict_all(sid)), bits(&single.predict_all(bid)));
+        assert_eq!(
+            sharded.predict_root_threaded(sid, 1).to_bits(),
+            single.predict_root_threaded(bid, 1).to_bits()
+        );
+        assert_eq!(bits(&sharded.predict_all(sid)), bits(&single.predict_all_threaded(bid, 1)));
     }
 }
 
@@ -142,11 +142,11 @@ proptest! {
     }
 }
 
-/// The micro-batching front door must be accuracy-free: a coalesced
-/// flush of W concurrent requests returns exactly the bits each request
-/// would get served alone, with plans resident or retired per mode.
+/// A burst admitted and then predicted must be accuracy-free: each plan
+/// gets exactly the bits it would get served alone, at every thread
+/// count, and retiring the burst empties the stream.
 #[test]
-fn microbatch_flush_is_bit_identical_to_serving_each_request_alone() {
+fn a_burst_admitted_then_predicted_is_bit_identical_to_each_plan_alone() {
     let ds = Dataset::generate(Workload::TpcDs, 1.0, 24, 7);
     let fz = Featurizer::new(&ds.catalog);
     let wh = Whitener::fit(&fz, ds.plans.iter());
@@ -154,20 +154,26 @@ fn microbatch_flush_is_bit_identical_to_serving_each_request_alone() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(70);
     let units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
 
-    let mut stream = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
-    let mut front = MicroBatcher::new();
-    for p in ds.plans.iter().take(16) {
-        front.submit(&p.root);
+    let alone: Vec<u64> = ds
+        .plans
+        .iter()
+        .take(16)
+        .map(|p| {
+            let mut program = PlanProgram::compile(&fz, &wh, &units, &[&p.root]);
+            program.predict_roots_threaded(&units, &codec, None, 1)[0].to_bits()
+        })
+        .collect();
+    for threads in [1usize, 2, 4, 8] {
+        let mut stream = ShardedStream::new(&fz, &wh, &units, &codec, None, 3, 0);
+        let ids: Vec<PlanId> = ds.plans.iter().take(16).map(|p| stream.admit(&p.root)).collect();
+        let burst: Vec<u64> =
+            ids.iter().map(|&id| stream.predict_root_threaded(id, threads).to_bits()).collect();
+        assert_eq!(burst, alone, "{threads} threads: burst bits diverge from each plan alone");
+        for id in ids {
+            stream.retire(id);
+        }
+        assert!(stream.is_empty(), "retiring the burst must empty the stream");
     }
-    let batched = front.flush(&mut stream, 4);
-    assert!(stream.is_empty(), "one-shot requests must retire after the flush");
-    for (p, got) in ds.plans.iter().take(16).zip(&batched) {
-        let mut alone = PlanProgram::compile(&fz, &wh, &units, &[&p.root]);
-        let want = alone.predict_roots(&units, &codec);
-        assert_eq!(got.to_bits(), want[0].to_bits(), "batched bits diverge for plan alone");
-    }
-    let stats = front.stats();
-    assert_eq!((stats.batches, stats.requests), (1, 16));
 }
 
 /// Worker-panic regression for the parked pool (mirror of the scoped
@@ -197,7 +203,7 @@ fn worker_panic_poisons_run_and_global_pool_survives() {
     assert_eq!(units2.out_size(), units.out_size(), "width check must pass");
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = program.predict_roots_threaded(&units2, &codec, 4);
+        let _ = program.predict_roots_threaded(&units2, &codec, None, 4);
     }));
     let payload = result.expect_err("the worker panic must reach the caller");
     let msg = payload
@@ -214,8 +220,8 @@ fn worker_panic_poisons_run_and_global_pool_survives() {
     // poisoned program's buffers are in an undefined-but-memory-safe
     // state) predicts on 4 workers with single-thread bits.
     let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
-    let want = fresh.predict_roots(&units, &codec);
-    let got = fresh.predict_roots_threaded(&units, &codec, 4);
+    let want = fresh.predict_roots_threaded(&units, &codec, None, 1);
+    let got = fresh.predict_roots_threaded(&units, &codec, None, 4);
     assert_eq!(bits(&got), bits(&want), "global pool unusable after a poisoned run");
 }
 

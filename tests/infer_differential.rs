@@ -83,22 +83,22 @@ fn assert_thread_count_invariant(workload: Workload, seed: u64, batch: usize) {
 
     let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
     let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-    let base_roots = program.predict_roots_threaded(&units, &codec, 1);
-    let base_all = program.predict_all_threaded(&units, &codec, 1);
-    let base_clamped = program.predict_roots_clamped_threaded(&units, &codec, &caps, 1);
+    let base_roots = program.predict_roots_threaded(&units, &codec, None, 1);
+    let base_all = program.predict_all_threaded(&units, &codec, None, 1);
+    let base_clamped = program.predict_roots_threaded(&units, &codec, Some(&caps), 1);
     for threads in [2usize, 4, 8] {
         assert_eq!(
-            program.predict_roots_threaded(&units, &codec, threads),
+            program.predict_roots_threaded(&units, &codec, None, threads),
             base_roots,
             "{threads} threads: roots diverged"
         );
         assert_eq!(
-            program.predict_all_threaded(&units, &codec, threads),
+            program.predict_all_threaded(&units, &codec, None, threads),
             base_all,
             "{threads} threads: per-operator predictions diverged"
         );
         assert_eq!(
-            program.predict_roots_clamped_threaded(&units, &codec, &caps, threads),
+            program.predict_roots_threaded(&units, &codec, Some(&caps), threads),
             base_clamped,
             "{threads} threads: clamped roots diverged"
         );

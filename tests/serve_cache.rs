@@ -315,6 +315,30 @@ fn kept_admit_predicts_are_memo_transparent() {
     assert_eq!(stats.resident_plans, 0);
 }
 
+/// The general path and the fast path probe one memo per shard: a kept
+/// `admit_predict` (general decoder) seeds the entry the next one-shot
+/// line of the same plan (fast path) hits, and a one-shot miss seeds the
+/// entry a later kept line hits. Every reply is the reference bytes.
+#[test]
+fn general_and_fast_paths_share_the_memo() {
+    let mut oracle = Oracle::new(false);
+    oracle.admit_predict(0, 0, true, false);
+    oracle.admit_predict(0, 0, false, false);
+    oracle.admit_predict(0, 1, false, false);
+    oracle.admit_predict(0, 1, true, false);
+    while !oracle.resident.is_empty() {
+        oracle.retire(0);
+    }
+    let stats = serve_script(&tcp(), ServeConfig::default(), false, &oracle.script);
+    assert_eq!((stats.fast_path_predicted, stats.batches), (2, 2), "one line per path per plan");
+    assert_eq!(
+        (stats.cache_hits, stats.cache_misses),
+        (2, 2),
+        "each plan misses on its first path and hits on the other"
+    );
+    assert_eq!(stats.resident_plans, 0);
+}
+
 #[cfg(unix)]
 #[test]
 fn unix_socket_replies_are_memo_transparent() {

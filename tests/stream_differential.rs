@@ -52,10 +52,7 @@ fn fresh_roots(
 ) -> Vec<f64> {
     let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
     let mut fresh = PlanProgram::compile(fz, wh, units, &roots);
-    match caps {
-        Some(caps) => fresh.predict_roots_clamped_threaded(units, codec, caps, threads),
-        None => fresh.predict_roots_threaded(units, codec, threads),
-    }
+    fresh.predict_roots_threaded(units, codec, caps, threads)
 }
 
 /// Drives one random admit/retire/predict interleaving and, at every
@@ -197,10 +194,7 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
     let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
     let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
-    let want_all = match caps_opt {
-        Some(caps) => fresh.predict_all_clamped(&units, &codec, caps),
-        None => fresh.predict_all(&units, &codec),
-    };
+    let want_all = fresh.predict_all_threaded(&units, &codec, caps_opt, 1);
     for (threads, b) in &mut builders {
         for (i, &(id, _)) in resident.iter().enumerate() {
             assert_eq!(
@@ -261,7 +255,7 @@ fn facade_stream_matches_compiled_program_through_churn() {
             let pick = rng.gen_range(0..ds.plans.len());
             resident.push((stream.admit(&ds.plans[pick].root), pick));
         }
-        let streamed = stream.predict_roots();
+        let streamed = stream.predict_roots_threaded(1);
         let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
         // The builder and the compiled program both borrow the model
         // immutably; only a refit is excluded while the stream is live.

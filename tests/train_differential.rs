@@ -149,9 +149,9 @@ fn tape_gradients_match_finite_differences() {
     let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
 
     units.zero_grad();
-    tape.forward(&units);
+    tape.forward_threaded(&units, 1);
     tape.loss();
-    tape.backward(&mut units);
+    tape.backward_threaded(&mut units, 1);
 
     let mut worst: f64 = 0.0;
     let mut compared = 0usize;
@@ -167,7 +167,7 @@ fn tape_gradients_match_finite_differences() {
             let numeric = qpp::nn::gradcheck::stable_central_diff(
                 |offset| {
                     units.unit_mut(kind).layers_mut()[0].w.set(r, c, orig + offset);
-                    tape.forward(&units);
+                    tape.forward_threaded(&units, 1);
                     let (l, _) = tape.loss();
                     units.unit_mut(kind).layers_mut()[0].w.set(r, c, orig);
                     l
