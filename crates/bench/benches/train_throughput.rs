@@ -26,11 +26,11 @@
 //! amortize to: per-run setup — the wavefront engine's once-per-run
 //! featurization and compile-once tape, the per-class engine's
 //! *per-epoch* `TreeBatch` rebuilds — is charged exactly as each engine
-//! incurs it across epochs. The `program_tN` rows add the worker-pool
-//! axis over both sweeps; thread counts never change the forward results
-//! and perturb gradients only by f32 summation order. **On a 1-core host
-//! those rows show only the spawn/barrier overhead floor** — see the
-//! README caveat.
+//! incurs it across epochs. The `program_tN` rows add the thread axis:
+//! each batch is cut into one plan lane per thread and each worker sweeps
+//! its own lanes; thread counts never change the forward results and
+//! perturb gradients only by f32 summation order. A host with fewer
+//! cores than `N` shows the dispatch overhead, not scaling.
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use qpp_plansim::catalog::Workload;

@@ -265,12 +265,14 @@ pub struct QppConfig {
     /// Seed for weight initialization and batch shuffling.
     pub seed: u64,
     /// Worker threads for gradient computation (1 = serial). The
-    /// wavefront engine deals each height level's steps across a worker
-    /// pool in both sweeps (the forward is bit-identical at any thread
-    /// count; gradient sums differ only by f32 summation order); the
-    /// per-class engine distributes equivalence classes across threads
-    /// and sums their gradients, with the same up-to-summation-order
-    /// contract.
+    /// wavefront engine cuts each batch into this many plan lanes
+    /// (contiguous, node-balanced ranges of its plans) and each worker
+    /// sweeps its own lanes: the forward is bit-identical at any thread
+    /// count, and a fit is reproducible at a fixed thread count, while
+    /// gradients at different thread counts differ only by f32 summation
+    /// order. The per-class engine distributes equivalence classes across
+    /// threads and sums their gradients, with the same
+    /// up-to-summation-order contract.
     #[serde(default = "default_threads")]
     pub threads: usize,
     /// Gradient engine (see [`TrainEngine`]; default: the wavefront

@@ -506,7 +506,7 @@ impl PlanProgram {
                 p.repack_from(units);
                 *d = digest;
             }
-            None => self.packed = Some((digest, PackedUnits::pack(units, false))),
+            None => self.packed = Some((digest, PackedUnits::pack(units))),
         }
         run_schedule(
             &mut self.steps,
@@ -614,10 +614,10 @@ pub(crate) fn clamp_plan_envelope(
 /// Copies each member's child output rows into the child column blocks of
 /// `dst` (`dst[i, feat_width + j·out_w ..]` ← row `child_rows[i·arity + j]`
 /// of the source). This is **the** row-routing loop every engine leans on
-/// — the sequential and parallel serving executors and both training-tape
-/// sweeps share it, so the `(feat prefix ⌢ child₁ ⌢ … ⌢ childₖ)` input
-/// layout (and the bit-identity contracts built on it) cannot drift
-/// between copies. `row_of` abstracts the source: plain matrix rows on
+/// — the sequential and parallel serving executors and the training
+/// tape's forward share it, so the `(feat prefix ⌢ child₁ ⌢ … ⌢ childₖ)`
+/// input layout (and the bit-identity contracts built on it) cannot
+/// drift between copies. `row_of` abstracts the source: plain matrix rows on
 /// single-threaded paths, a [`SharedRows`] view under workers.
 ///
 /// `dst` is either the step's own baked input (its feature prefix is
@@ -717,9 +717,7 @@ pub(crate) fn run_levels_parallel(
     out_w: usize,
 ) {
     let outputs = SharedRows::new(outputs);
-    // Workers carry no private state beyond their resident pool.
-    let mut workers = vec![(); threads];
-    run_levels_parallel_with(exec, levels, false, &mut workers, &|(), pool, id| {
+    run_levels_parallel_with(exec, levels, threads, &|pool, id| {
         let step = &steps[id as usize];
         let out = if step.arity == 0 {
             // Leaves: the baked feature matrix IS the full input.
@@ -758,16 +756,12 @@ pub(crate) fn run_levels_parallel(
     });
 }
 
-/// The generic level-barrier executor behind every multicore wavefront
-/// pass — serving forward ([`run_levels_parallel`]) and the training
-/// tape's forward *and* backward
-/// ([`crate::train_program::ProgramTape`]). Deals each level's step ids
-/// round-robin across `workers.len()` workers (the **caller participates
-/// as worker 0**; callers pass at least two worker states and handle the
-/// single-threaded fallback themselves), with one [`std::sync::Barrier`]
-/// per level. `reverse` iterates the levels top-down — the backward pass's
-/// order, where a parent's gradient must be fully routed before its
-/// children's level reads it.
+/// The level-barrier executor behind multicore serving
+/// ([`run_levels_parallel`]). Deals each level's step ids round-robin
+/// across `threads` workers (the **caller participates as worker 0**;
+/// callers pass `threads >= 2` and handle the single-threaded fallback
+/// themselves), with one [`std::sync::Barrier`] per level, levels
+/// ascending.
 ///
 /// Workers are **resident**: the pass dispatches onto `exec`'s parked
 /// worker pool ([`qpp_nn::Executor`]) instead of spawning scoped threads
@@ -777,13 +771,10 @@ pub(crate) fn run_levels_parallel(
 /// step depends only on the level lists and the worker count, never on
 /// which OS thread hosts the worker.
 ///
-/// `run_step` receives the worker's private mutable state (`W`: gradient
-/// accumulators, …), the worker's *resident* [`BufferPool`] (owned by the
-/// executor and kept warm across runs), and a step id; everything shared
-/// (steps, units, raw output views) is captured by the closure. The
-/// round-robin deal is position-based, so which worker runs a step is
-/// deterministic given the level lists and worker count — but `run_step`
-/// must not rely on *cross-step* ordering within a level.
+/// `run_step` receives the worker's *resident* [`BufferPool`] (owned by
+/// the executor and kept warm across runs) and a step id; everything
+/// shared (steps, units, raw output views) is captured by the closure.
+/// `run_step` must not rely on *cross-step* ordering within a level.
 ///
 /// A panic inside a step (e.g. a shape assert against a mismatched unit
 /// set) must not strand the other workers at the barrier: each level's
@@ -794,15 +785,13 @@ pub(crate) fn run_levels_parallel(
 /// **re-raised on the calling thread after the run completes** — so the
 /// caller observes the original panic (same message as the sequential
 /// path) no matter which worker's share the failing step landed in.
-pub(crate) fn run_levels_parallel_with<W: Send>(
+pub(crate) fn run_levels_parallel_with(
     exec: &Executor,
     levels: &[Vec<u32>],
-    reverse: bool,
-    workers: &mut [W],
-    run_step: &(impl Fn(&mut W, &mut BufferPool, u32) + Sync),
+    threads: usize,
+    run_step: &(impl Fn(&mut BufferPool, u32) + Sync),
 ) {
     use std::sync::atomic::Ordering;
-    let threads = workers.len();
     debug_assert!(threads >= 2, "parallel executor needs >= 2 workers");
     let barrier = std::sync::Barrier::new(threads);
     let poisoned = std::sync::atomic::AtomicBool::new(false);
@@ -811,16 +800,16 @@ pub(crate) fn run_levels_parallel_with<W: Send>(
 
     // One worker's whole pass: its round-robin share of every level, in
     // schedule order, poison-checked at each barrier.
-    let worker_loop = |worker: usize, state: &mut W, pool: &mut BufferPool| {
-        let mut level_pass = |level: &Vec<u32>| {
-            // AssertUnwindSafe: on panic the worker state may hold
-            // un-given buffers and this level's outputs may be partially
-            // written — the same states a sequential-path panic leaves
-            // behind; the payload is re-raised on the caller after the
-            // run, so no caller observes them.
+    exec.run(threads, &|worker, pool| {
+        for level in levels {
+            // AssertUnwindSafe: on panic the pool may hold un-given
+            // buffers and this level's outputs may be partially written —
+            // the same states a sequential-path panic leaves behind; the
+            // payload is re-raised on the caller after the run, so no
+            // caller observes them.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for &id in level.iter().skip(worker).step_by(threads) {
-                    run_step(state, pool, id);
+                    run_step(pool, id);
                 }
             }));
             if let Err(payload) = result {
@@ -830,36 +819,13 @@ pub(crate) fn run_levels_parallel_with<W: Send>(
                 // slot on its own way to the barrier.
                 panic_slot.lock().expect("panic slot lock").get_or_insert(payload);
                 barrier.wait();
-                return false;
+                return;
             }
             barrier.wait();
-            !poisoned.load(Ordering::Acquire)
-        };
-        if reverse {
-            for level in levels.iter().rev() {
-                if !level_pass(level) {
-                    return;
-                }
-            }
-        } else {
-            for level in levels {
-                if !level_pass(level) {
-                    return;
-                }
+            if poisoned.load(Ordering::Acquire) {
+                return;
             }
         }
-    };
-
-    // Hand each resident worker its own `W` by index. The pointer is
-    // smuggled as `usize` so the dispatch closure is `Sync`.
-    let workers_addr = workers.as_mut_ptr() as usize;
-    exec.run(threads, &|worker, pool| {
-        // SAFETY: the executor calls the job with each index in
-        // `0..threads` exactly once per run, so every `&mut W` handed out
-        // here is disjoint; the slice outlives the run because `exec.run`
-        // blocks until every worker finished.
-        let state = unsafe { &mut *(workers_addr as *mut W).add(worker) };
-        worker_loop(worker, state, pool);
     });
     if let Some(payload) = panic_slot.into_inner().expect("panic slot lock") {
         std::panic::resume_unwind(payload);
@@ -874,14 +840,10 @@ pub(crate) fn run_levels_parallel_with<W: Send>(
 ///
 /// * every output row belongs to exactly **one** step (compile assigns
 ///   each node one global row, and a node joins one draft chunk), so two
-///   workers never write the same row within a level — and in the training
-///   backward, every *gradient* row is written by exactly one step too
-///   (each node has at most one parent, and the loss seed is written
-///   before the sweep starts);
+///   workers never write the same row within a level;
 /// * a step only **reads** rows sequenced by the inter-level barrier
 ///   (`Barrier::wait` is an acquire/release point): child outputs written
-///   at strictly lower heights in the forward, parent-routed gradients
-///   written at strictly higher heights in the backward;
+///   at strictly lower heights;
 /// * the view lives only inside one executor invocation's scope, which
 ///   holds the `&mut Matrix` borrow for the view's whole lifetime.
 pub(crate) struct SharedRows<'a> {
@@ -924,25 +886,6 @@ impl<'a> SharedRows<'a> {
         debug_assert!(i < self.rows, "row {i} out of range for {}x{} shared view", self.rows, self.cols);
         debug_assert_eq!(src.len(), self.cols, "row width mismatch in shared write");
         std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(i * self.cols), self.cols);
-    }
-
-    /// Accumulates `src` into row `i` (`row += src`) — the scatter-add the
-    /// training backward routes child gradients with (the row already
-    /// holds the loss seed, so this must add, not overwrite).
-    ///
-    /// # Safety
-    /// As [`SharedRows::write_row`]: the caller must be the only thread
-    /// accessing row `i` in the current level. In the backward sweep each
-    /// gradient row is touched by exactly one step — a node has at most
-    /// one parent.
-    #[inline]
-    pub(crate) unsafe fn add_to_row(&self, i: usize, src: &[f32]) {
-        debug_assert!(i < self.rows, "row {i} out of range for {}x{} shared view", self.rows, self.cols);
-        debug_assert_eq!(src.len(), self.cols, "row width mismatch in shared add");
-        let dst = std::slice::from_raw_parts_mut(self.ptr.add(i * self.cols), self.cols);
-        for (d, &s) in dst.iter_mut().zip(src) {
-            *d += s;
-        }
     }
 }
 
@@ -1228,9 +1171,8 @@ mod tests {
         // takes id 0, the resident worker takes id 1 — which panics.
         let exec = Executor::new(1);
         let levels = vec![vec![0u32, 1u32]];
-        let mut workers = [(), ()];
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_levels_parallel_with(&exec, &levels, false, &mut workers, &|(), _pool, id| {
+            run_levels_parallel_with(&exec, &levels, 2, &|_pool, id| {
                 if id == 1 {
                     panic!("step {id} exploded with a diagnostic message");
                 }
@@ -1245,7 +1187,7 @@ mod tests {
         // The poisoned run must not kill the resident worker: the same
         // pool serves the next run.
         let hits = std::sync::atomic::AtomicUsize::new(0);
-        run_levels_parallel_with(&exec, &levels, false, &mut workers, &|(), _pool, _id| {
+        run_levels_parallel_with(&exec, &levels, 2, &|_pool, _id| {
             hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         });
         assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 2, "pool dead after poison");

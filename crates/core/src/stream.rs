@@ -472,7 +472,7 @@ impl<'m> ProgramBuilder<'m> {
         ProgramBuilder {
             featurizer,
             whitener,
-            packed: PackedUnits::pack(units, false),
+            packed: PackedUnits::pack(units),
             units,
             codec,
             caps,

@@ -14,8 +14,10 @@
 //!   many structural shapes the batch mixes. Features are lowered and
 //!   whitened **once per run** (not once per epoch), full-batch
 //!   configurations compile one tape and reuse it every epoch, and
-//!   `threads > 1` deals each level's steps across a worker pool in both
-//!   sweeps.
+//!   `threads > 1` cuts the batch into one plan lane per thread: each
+//!   worker runs forward, loss and backward over its own lanes, and a
+//!   whole gradient step (panel repack, sweeps, gradient fold) is one
+//!   dispatch onto the resident worker pool.
 //! * **per-class** ([`TrainEngine::Classes`], the §5.1.1 arrangement):
 //!   the batch is partitioned into structural equivalence classes; each
 //!   class is evaluated as one [`TreeBatch`] (matrix ops over all members
@@ -49,7 +51,9 @@ use std::time::Instant;
 /// "Gemm" counts are *forward* matrix products (one per unit layer per
 /// group/step); the backward executes two more per layer (weight and
 /// input gradients) in either engine, so ratios between engines are
-/// preserved.
+/// preserved. Under the wavefront engine, steps and gemms are summed over
+/// the tape's lanes: a batch cut into one lane per thread runs more,
+/// narrower steps than one lane would.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrainStats {
     /// True when the wavefront tape computed the gradients
@@ -58,7 +62,8 @@ pub struct TrainStats {
     /// Distinct structural equivalence classes in the training set — the
     /// granularity the per-class engine fragments a full batch into.
     pub classes: usize,
-    /// Wavefront steps executed per epoch (0 under the per-class engine).
+    /// Wavefront steps executed per epoch, summed over lanes (0 under the
+    /// per-class engine).
     pub steps_per_epoch: usize,
     /// Forward gemm calls per epoch (mean across epochs).
     pub gemms_per_epoch: usize,
@@ -245,9 +250,11 @@ impl Trainer<'_> {
         history
     }
 
-    /// One gradient step over one batch through the wavefront tape: one
-    /// recording forward, the all-operator loss, one reverse sweep —
-    /// each gemm spanning every plan of the batch in its wavefront.
+    /// One gradient step over one batch through the wavefront tape, laid
+    /// out as one lane per thread: one recording forward, the
+    /// all-operator loss and one reverse sweep per lane — each gemm
+    /// spanning every plan of its lane's wavefront — then the lanes'
+    /// gradients folded into `units` and applied.
     fn train_batch_program(
         &self,
         units: &mut UnitSet,
@@ -256,19 +263,15 @@ impl Trainer<'_> {
         chunk: &[usize],
     ) -> BatchOutcome {
         let cfg = self.config;
-        units.zero_grad();
-        let tape = session.tape_for(chunk, units);
-        tape.forward_threaded(units, cfg.threads);
-        let (sse, ops) = tape.loss();
-        tape.backward_threaded(units, cfg.threads);
+        let tape = session.tape_for(chunk, units, cfg.threads);
+        // Unbiased recombination (§5.1.1) and weight decay (which also
+        // pulls never-activated one-hot columns toward zero — essential
+        // for unseen-template generalization) are fused into the step's
+        // gradient fold: `units` receives the summed SSE gradients
+        // normalized by the batch's supervised operator count, plus
+        // `weight_decay · w`.
+        let (sse, ops) = tape.train_step(units, cfg.threads, cfg.weight_decay);
         let steps = tape.num_steps();
-
-        // Unbiased recombination (§5.1.1): normalize the summed SSE
-        // gradients by the batch's supervised operator count, then weight
-        // decay (which also pulls never-activated one-hot columns toward
-        // zero — essential for unseen-template generalization).
-        units.scale_grad(1.0 / ops.max(1) as f32);
-        units.add_weight_decay(cfg.weight_decay);
         units.apply_grads(opt);
         BatchOutcome { sse, ops, unit_evals: 0, steps }
     }
@@ -607,8 +610,8 @@ mod tests {
 
     /// Parallel gradient computation must match serial training: same
     /// batches, same recombination, only the f32 summation order differs.
-    /// Runs on the wavefront engine (the default), whose parallel sweeps
-    /// go through the shared level executor.
+    /// Runs on the wavefront engine (the default), whose threads each
+    /// sweep their own plan lanes.
     #[test]
     fn parallel_training_matches_serial() {
         let (ds, fz, wh, codec) = setup(40);
@@ -637,6 +640,32 @@ mod tests {
         for (a, b) in preds1.iter().zip(&preds4) {
             let rel = (a - b).abs() / (1.0 + a.abs());
             assert!(rel < 1e-2, "prediction {a} vs {b}");
+        }
+    }
+
+    /// Two fits at two threads with one seed are the same model, byte for
+    /// byte: each lane sums its gradients alone and the fold adds lanes in
+    /// lane order, so thread scheduling never reaches the weights. Both
+    /// the compile-once full batch and the recompiling mini-batch path.
+    #[test]
+    fn two_thread_fits_are_reproducible() {
+        let (ds, ..) = setup(40);
+        let plans: Vec<&Plan> = ds.plans.iter().collect();
+        for batch_size in [64, 16] {
+            let fit = || {
+                let cfg = QppConfig {
+                    epochs: 4,
+                    threads: 2,
+                    batch_size,
+                    optimizer: OptimizerKind::Adam,
+                    learning_rate: 1e-3,
+                    ..QppConfig::tiny()
+                };
+                let mut model = crate::model::QppNet::new(cfg, &ds.catalog);
+                model.fit(&plans);
+                model.to_json()
+            };
+            assert!(fit() == fit(), "batch {batch_size}: two-thread fits diverged");
         }
     }
 

@@ -35,35 +35,42 @@
 //! and the resulting *trained models* to within `1e-5` on held-out
 //! predictions.
 //!
-//! # Multicore execution
+//! # Multicore execution: plan lanes
 //!
-//! Both sweeps run on the shared level-barrier executor
-//! (`run_levels_parallel_with` in `crate::infer`) that powers multicore
-//! serving — and therefore on the same resident worker pool
-//! ([`qpp_nn::Executor::global`]): training and serving are tenants of
-//! one set of parked workers and their persistent buffer pools. The forward is parallel for the same reason serving is: steps
-//! of one level write disjoint output rows and read only lower levels.
-//! The backward is the mirror image: levels run top-down, each gradient
-//! row is written by exactly one step (a node has at most one parent;
-//! the loss seed is written before the sweep), and reads are
-//! barrier-sequenced. Weight gradients are the one shared accumulator —
-//! each worker owns a private `GradSet` (weights stay shared and
-//! read-only), reduced into the unit set after the sweep, so the hot path
-//! stays lock-free. Forward results are bit-identical at any thread
-//! count; gradient sums differ only by f32 summation order, exactly like
-//! the legacy data-parallel trainer.
+//! A tape over a batch is split into **lanes**, one per thread: contiguous
+//! ranges of the batch's plans, balanced by node count, each compiled as
+//! its own wavefront program with its own steps, recorded activations,
+//! output and gradient rows, and weight-gradient accumulators
+//! (`GradSet`). Plans never share rows, so lanes are independent: a
+//! worker runs forward, loss and backward over its lanes with the
+//! sequential sweep and no barrier between levels. One executor dispatch
+//! ([`qpp_nn::Executor::global`], the pool serving uses) covers a whole
+//! trainer step, in three phases with a barrier between each: every
+//! worker repacks its share of the layers' panels, sweeps its lanes, and
+//! folds the lanes' gradient sets, in lane order, into its share of the
+//! unit set (shares are contiguous and balanced by parameter count).
+//! Workers reach lanes and panels through uncontended locks, so the tape
+//! carries no `unsafe`.
+//!
+//! Determinism: forward outputs are bit-identical at any lane count (the
+//! packed kernels are row-invariant). For a given lane layout, gradients
+//! are bit-identical at any thread count — a lane's sums do not depend
+//! on which worker ran it, and the fold order is the lane order. Across
+//! lane counts gradients differ only in f32 summation order.
 
 use crate::config::TargetCodec;
-use crate::infer::{
-    gather_child_columns, max_level_width, run_levels_parallel_with, SharedRows, Step,
-    WavefrontBuilder,
-};
+use crate::infer::{gather_child_columns, Step, WavefrontBuilder};
 use crate::lower::{lower, Lowering};
-use crate::unit::{PackedUnits, UnitSet};
-use qpp_nn::{activation_backward_inplace, BufferPool, Executor, Matrix, PackedWeights};
+use crate::unit::UnitSet;
+use qpp_nn::{
+    activation_backward_inplace, BufferPool, Dense, Executor, Matrix, PackedDense, PackedWeights,
+};
 use qpp_plansim::features::{Featurizer, Whitener};
 use qpp_plansim::operators::OpKind;
 use qpp_plansim::plan::PlanNode;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex, PoisonError, RwLock, RwLockReadGuard};
 
 /// Maximum rows per compiled training step. Larger than the serving
 /// engine's latency-tuned [`crate::infer::STEP_CHUNK_ROWS`]: a training
@@ -81,10 +88,10 @@ pub(crate) const TRAIN_CHUNK_ROWS: usize = 128;
 /// the weights they correspond to.
 ///
 /// The tape backward reads weights from the tape's shared packed panels
-/// and accumulates into one of these — which is what lets worker threads
-/// run backward concurrently without cloning weights or locking: each
-/// worker owns a `GradSet`, and the per-parameter sums are reduced into
-/// the unit set's accumulators afterwards ([`GradSet::add_into`]).
+/// and accumulates into one of these — which is what lets lanes run
+/// backward concurrently without cloning weights or locking: each lane
+/// owns a `GradSet`, and the per-parameter sums are folded into the unit
+/// set's accumulators afterwards, in lane order.
 ///
 /// Weight-gradient accumulators are [`PackedWeights`] panels in the same
 /// layout as the weights they correspond to, so the backward's
@@ -132,20 +139,6 @@ impl GradSet {
     fn layer_mut(&mut self, kind: OpKind, layer: usize) -> (&mut PackedWeights, &mut [f32]) {
         let (gw, gb) = &mut self.grads[kind.index()][layer];
         (gw, gb)
-    }
-
-    /// Adds these accumulators into `units`' gradient accumulators — the
-    /// reduction step after a backward sweep (and the single point where
-    /// packed panel gradients unfold back into row-major `gw`).
-    pub(crate) fn add_into(&self, units: &mut UnitSet) {
-        for (&kind, unit) in OpKind::ALL.iter().zip(&self.grads) {
-            for (layer, (gw, gb)) in units.unit_mut(kind).layers_mut().iter_mut().zip(unit) {
-                gw.add_unpacked_into(&mut layer.gw);
-                for (d, &s) in layer.gb.iter_mut().zip(gb) {
-                    *d += s;
-                }
-            }
-        }
     }
 }
 
@@ -239,133 +232,77 @@ impl TrainSet {
     }
 }
 
-/// The reusable pieces a retiring tape hands to its successor: the
-/// buffer pool (holding every drained matrix), per-worker gradient
-/// accumulators, the target buffer, and the packed panel state (same
-/// model shapes across a session, so the allocation carries over; every
-/// forward refreshes the contents anyway). (Per-worker *pools* are no
-/// longer tape state — they live in the resident executor.)
-type TapeParts = (BufferPool, Vec<GradSet>, Vec<f32>, PackedUnits);
+/// Cuts items of the given `weights` into at most `parts` contiguous,
+/// non-empty ranges of roughly equal total weight, returning the range
+/// boundaries (`0` first, `weights.len()` last). An item joins the range
+/// in which at least half of its weight falls. Plans are cut into lanes
+/// by node count, layers into fold shares by parameter count.
+fn balanced_cuts(weights: &[usize], parts: usize) -> Vec<usize> {
+    let n = parts.min(weights.len()).max(1);
+    let total: usize = weights.iter().sum();
+    let mut cuts = Vec::with_capacity(n + 1);
+    cuts.push(0);
+    let (mut end, mut before) = (0usize, 0usize);
+    for i in 1..n {
+        // Leave at least one item for each range still to come.
+        let (min_end, max_end) = (cuts[i - 1] + 1, weights.len() - (n - i));
+        let target = total * i / n;
+        while end < max_end && (end < min_end || before + weights[end] / 2 < target) {
+            before += weights[end];
+            end += 1;
+        }
+        cuts.push(end);
+    }
+    cuts.push(weights.len());
+    cuts
+}
 
-/// A compiled, differentiable wavefront program over a training batch —
-/// the gradient-carrying twin of [`crate::infer::PlanProgram`].
-///
-/// Compile once per batch (for full-batch training, once per *run* — the
-/// trainer reuses the tape across epochs), then per gradient step:
-/// [`ProgramTape::forward_threaded`] → [`ProgramTape::loss`] →
-/// [`ProgramTape::backward_threaded`], which accumulates summed-SSE weight
-/// gradients into the unit set exactly like
-/// [`crate::tree::TreeBatch::backward`] does — the caller normalizes and
-/// applies them. All buffers (step inputs, recorded activations, output
-/// and gradient rows) are preallocated at compile time and reused across
-/// epochs; recompiling for a different batch recycles them through the
-/// tape's [`BufferPool`].
-///
-/// ```
-/// use qppnet::config::{TargetCodec, TargetTransform};
-/// use qppnet::{ProgramTape, QppConfig, UnitSet};
-/// use qpp_plansim::features::{Featurizer, Whitener};
-/// use qpp_plansim::prelude::*;
-/// use rand::SeedableRng;
-///
-/// let ds = Dataset::generate(Workload::TpcH, 1.0, 12, 3);
-/// let fz = Featurizer::new(&ds.catalog);
-/// let wh = Whitener::fit(&fz, ds.plans.iter());
-/// let codec = TargetCodec::fit(TargetTransform::Log1p,
-///                              ds.plans.iter().map(|p| p.latency_ms()));
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-/// let mut units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
-///
-/// let roots: Vec<_> = ds.plans.iter().map(|p| &p.root).collect();
-/// let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
-/// units.zero_grad();
-/// tape.forward_threaded(&units, 1);
-/// let (sse, ops) = tape.loss();
-/// tape.backward_threaded(&mut units, 1); // grads now live in `units`
-/// assert!(sse >= 0.0 && ops == tape.num_nodes());
-/// ```
-pub struct ProgramTape {
+/// One lane of a [`ProgramTape`]: a contiguous range of the batch's plans
+/// compiled as its own differentiable wavefront program. Row indices
+/// (`outputs`, `grad_outputs`, the steps' member and child rows) are
+/// lane-local.
+struct Lane {
     steps: Vec<Step>,
     /// Recorded layer activations, parallel to `steps`: `acts[s][l]` is
     /// layer `l`'s activation over step `s`'s members. Written by every
     /// forward, consumed by the following backward.
     acts: Vec<Vec<Matrix>>,
     levels: Vec<Vec<u32>>,
-    /// `total_nodes × out_w`; row `r` holds node `r`'s forward output.
+    /// `lane_nodes × out_w`; row `r` holds node `r`'s forward output.
     outputs: Matrix,
-    /// `total_nodes × out_w`; row `r` holds `∂loss/∂output(r)` — seeded by
-    /// [`ProgramTape::loss`], routed top-down by the backward sweep.
+    /// `lane_nodes × out_w`; row `r` holds `∂loss/∂output(r)` — seeded by
+    /// the loss, routed top-down by the backward sweep.
     grad_outputs: Matrix,
-    /// Encoded latency target per global node row.
+    /// Encoded latency target per lane node row.
     targets: Vec<f32>,
-    out_w: usize,
-    num_plans: usize,
-    /// Scratch + recycling pool: gradient ping-pong buffers during
-    /// backward, and retired tape buffers between recompiles. (Per-worker
-    /// pools for the parallel sweeps come from the resident
-    /// [`qpp_nn::Executor`], which keeps them warm across epochs.)
+    /// Summed squared error of the last loss.
+    sse: f64,
+    /// This lane's weight-gradient accumulators.
+    grads: GradSet,
+    /// Gradient ping-pong scratch during backward, and retired lane
+    /// buffers between recompiles.
     pool: BufferPool,
-    /// Per-worker gradient accumulators (index 0 also serves the
-    /// sequential path), grown lazily and kept warm across epochs.
-    worker_grads: Vec<GradSet>,
-    /// Packed panel state (forward **and** transposed backward panels),
-    /// refreshed from the authoritative unit set at the start of every
-    /// forward sweep: the trainer mutates weights in place between
-    /// gradient steps, so — unlike the borrow-pinned streaming builder —
-    /// the tape can never cache panels across sweeps. Refresh is
-    /// O(params), the same order as the optimizer step it follows.
-    packed: PackedUnits,
 }
 
-impl ProgramTape {
-    /// Compiles `roots` into a differentiable wavefront program against
-    /// the fitted model's shape, featurizing every node (one-shot
-    /// convenience; the trainer goes through a per-run feature cache
-    /// instead — `TrainSet` — which featurizes once per run, not once
-    /// per batch).
-    ///
-    /// # Panics
-    /// Panics if a node's child count does not match its family's arity,
-    /// or if feature sizes disagree with the unit set (a featurizer/model
-    /// mismatch).
-    pub fn compile(
-        featurizer: &Featurizer,
-        whitener: &Whitener,
-        codec: &TargetCodec,
-        units: &UnitSet,
-        roots: &[&PlanNode],
-    ) -> ProgramTape {
-        let set = TrainSet::prepare(featurizer, whitener, codec, roots);
-        let chunk: Vec<usize> = (0..roots.len()).collect();
-        ProgramTape::compile_from(&set, &chunk, units, None)
-    }
+/// The reusable pieces a retiring lane hands to its successor: the buffer
+/// pool (holding every drained matrix), the gradient accumulators and the
+/// target buffer.
+type LaneParts = (BufferPool, GradSet, Vec<f32>);
 
-    /// Compiles the tape for one batch (`chunk` indexes into `set`),
-    /// recycling a retired tape's buffers when one is handed back — the
-    /// mini-batch path reuses every allocation across recompiles, so the
-    /// epoch loop is allocation-free in steady state.
-    pub(crate) fn compile_from(
-        set: &TrainSet,
-        chunk: &[usize],
-        units: &UnitSet,
-        recycled: Option<ProgramTape>,
-    ) -> ProgramTape {
+impl Lane {
+    /// Compiles `plans` (indexes into `set`) into a lane, recycling a
+    /// retired lane's parts when handed some.
+    fn compile(set: &TrainSet, plans: &[usize], units: &UnitSet, parts: Option<LaneParts>) -> Lane {
         let out_w = units.out_size();
-        let (mut pool, worker_grads, mut targets, packed) = match recycled {
-            Some(tape) => tape.into_parts(),
-            None => {
-                (BufferPool::new(), Vec::new(), Vec::new(), PackedUnits::pack(units, true))
-            }
-        };
-
+        let (mut pool, grads, mut targets) = parts.unwrap_or_else(|| {
+            (BufferPool::new(), GradSet::new_like(units), Vec::new())
+        });
         let mut builder = WavefrontBuilder::new();
-        let mut total_nodes = 0usize;
         let mut child_scratch = Vec::new();
         targets.clear();
-        for &pi in chunk {
+        for &pi in plans {
             let rec = &set.records[pi];
-            let base = total_nodes;
-            total_nodes += rec.len();
+            let base = targets.len();
             for k in 0..rec.len() {
                 child_scratch.clear();
                 child_scratch.extend(rec.lowering.children_of(k).iter().map(|&c| base + c));
@@ -396,27 +333,14 @@ impl ProgramTape {
                     .collect()
             })
             .collect();
-        let outputs = pool.take(total_nodes, out_w);
-        let grad_outputs = pool.take(total_nodes, out_w);
-
-        ProgramTape {
-            steps,
-            acts,
-            levels,
-            outputs,
-            grad_outputs,
-            targets,
-            out_w,
-            num_plans: chunk.len(),
-            pool,
-            worker_grads,
-            packed,
-        }
+        let outputs = pool.take(targets.len(), out_w);
+        let grad_outputs = pool.take(targets.len(), out_w);
+        Lane { steps, acts, levels, outputs, grad_outputs, targets, sse: 0.0, grads, pool }
     }
 
-    /// Tears the tape down to its reusable parts: every matrix drains into
-    /// the pool; worker state and the target buffer carry over.
-    fn into_parts(mut self) -> TapeParts {
+    /// Tears the lane down to its reusable parts: every matrix drains into
+    /// the pool.
+    fn into_parts(mut self) -> LaneParts {
         for step in self.steps {
             self.pool.give(step.input);
         }
@@ -427,30 +351,476 @@ impl ProgramTape {
         }
         self.pool.give(self.outputs);
         self.pool.give(self.grad_outputs);
-        (self.pool, self.worker_grads, self.targets, self.packed)
+        (self.pool, self.grads, self.targets)
+    }
+
+    /// The recording forward sweep: levels ascending, each step gathering
+    /// child outputs into its input, running its unit layer by layer into
+    /// the lane's activation buffers, and scattering the final activation
+    /// into the output rows.
+    fn forward(&mut self, panels: &PanelView) {
+        let out_w = self.outputs.cols();
+        for level in &self.levels {
+            for &id in level {
+                let id = id as usize;
+                let step = &mut self.steps[id];
+                let outputs = &mut self.outputs;
+                gather_child_columns(
+                    &step.child_rows,
+                    step.arity,
+                    step.feat_width,
+                    out_w,
+                    &mut step.input,
+                    |r| outputs.row(r),
+                );
+                let last = forward_layers(step, &mut self.acts[id], panels.unit(step.kind));
+                last.scatter_rows_into(&step.rows, outputs);
+            }
+        }
+    }
+
+    /// Seeds the gradient rows from the last forward and records the
+    /// lane's summed squared error (see [`ProgramTape::loss`]).
+    fn loss(&mut self) {
+        self.grad_outputs.fill_zero();
+        let mut sse = 0.0f64;
+        for (r, &target) in self.targets.iter().enumerate() {
+            let err = self.outputs.get(r, 0) - target;
+            sse += (err as f64) * (err as f64);
+            self.grad_outputs.set(r, 0, 2.0 * err);
+        }
+        self.sse = sse;
+    }
+
+    /// The reverse sweep into this lane's gradient set, zeroed first: levels
+    /// descending, each step gathering its members' output gradients,
+    /// walking its unit's layers in reverse, and scatter-adding child
+    /// gradient blocks onto the children's rows.
+    fn backward(&mut self, panels: &PanelView) {
+        let out_w = self.outputs.cols();
+        self.grads.zero();
+        for level in self.levels.iter().rev() {
+            for &id in level {
+                let id = id as usize;
+                let step = &self.steps[id];
+                let mut d = self.pool.take(step.rows.len(), out_w);
+                self.grad_outputs.gather_rows_into(&step.rows, &mut d);
+                let layers = panels.unit(step.kind);
+                let (grads, pool) = (&mut self.grads, &mut self.pool);
+                let dx = backward_layers(step, &self.acts[id], layers, d, grads, pool);
+                if let Some(dx) = dx {
+                    route_child_grads(step, &dx, &mut self.grad_outputs, out_w);
+                    self.pool.give(dx);
+                }
+            }
+        }
+    }
+}
+
+/// Write-locks a lane. Poison is ignored: a panicking sweep is re-raised
+/// on the caller, and the next sweep rewrites every buffer it reads.
+fn write_lane(slot: &RwLock<Lane>) -> std::sync::RwLockWriteGuard<'_, Lane> {
+    slot.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Read-locks a lane for the gradient fold (poison ignored, as for
+/// [`write_lane`]).
+fn read_lane(slot: &RwLock<Lane>) -> RwLockReadGuard<'_, Lane> {
+    slot.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The tape's packed layers — forward **and** transposed backward
+/// panels — flat in `(family, layer)` order, with one lock per layer so
+/// workers can refresh disjoint layers at once and then all read them.
+struct Panels {
+    layers: Vec<RwLock<PackedDense>>,
+    /// Family `k`'s layers are `layers[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<usize>,
+}
+
+impl Panels {
+    fn pack(units: &UnitSet) -> Panels {
+        let mut offsets = vec![0];
+        let mut layers = Vec::new();
+        for kind in OpKind::ALL {
+            let unit = units.unit(kind).layers();
+            layers.extend(unit.iter().map(|l| RwLock::new(PackedDense::pack(l, true))));
+            offsets.push(layers.len());
+        }
+        Panels { layers, offsets }
+    }
+
+    /// Refreshes every layer from `units` on the calling thread.
+    fn repack_from(&mut self, units: &UnitSet) {
+        let dense = OpKind::ALL.iter().flat_map(|&kind| units.unit(kind).layers());
+        for (panel, src) in self.layers.iter_mut().zip(dense) {
+            panel.get_mut().unwrap_or_else(PoisonError::into_inner).repack_from(src);
+        }
+    }
+
+    /// Read access to every layer for one worker's sweeps.
+    fn view(&self) -> PanelView<'_> {
+        PanelView {
+            layers: self
+                .layers
+                .iter()
+                .map(|l| l.read().unwrap_or_else(PoisonError::into_inner))
+                .collect(),
+            offsets: &self.offsets,
+        }
+    }
+}
+
+/// One worker's read guards on every packed layer of a [`Panels`].
+struct PanelView<'a> {
+    layers: Vec<RwLockReadGuard<'a, PackedDense>>,
+    offsets: &'a [usize],
+}
+
+impl PanelView<'_> {
+    /// The packed layers of one family's unit.
+    fn unit(&self, kind: OpKind) -> &[RwLockReadGuard<'_, PackedDense>] {
+        let k = kind.index();
+        &self.layers[self.offsets[k]..self.offsets[k + 1]]
+    }
+}
+
+/// What one dispatch does around the lane sweeps.
+#[derive(Clone, Copy)]
+enum Fold {
+    /// Fold `g += Σ lanes` — the public backward's accumulate contract.
+    Accumulate,
+    /// The trainer's whole gradient step: first refresh the panels from
+    /// the unit set (the optimizer moved the weights), then, after the
+    /// sweeps, fold `g = (Σ lanes)·scale` and `gw += decay·w` — the
+    /// trainer's normalization and weight decay.
+    Step { scale: f32, decay: f32 },
+}
+
+/// One layer of the unit set, handed to the worker that folds it (and,
+/// for [`Fold::Step`], repacks its panels).
+struct FoldItem<'a> {
+    kind: OpKind,
+    layer: usize,
+    dst: &'a mut Dense,
+}
+
+impl FoldItem<'_> {
+    /// Folds every lane's accumulators for this layer into `dst`, in lane
+    /// order (so the result does not depend on which worker folds it).
+    /// `parts` is scratch for the lanes' weight-gradient panels.
+    fn fold<'l>(
+        &mut self,
+        lanes: &'l [RwLockReadGuard<Lane>],
+        how: Fold,
+        parts: &mut Vec<&'l PackedWeights>,
+    ) {
+        let (kind, layer, dst) = (self.kind.index(), self.layer, &mut *self.dst);
+        match how {
+            Fold::Accumulate => {
+                for lane in lanes {
+                    let (gw, gb) = &lane.grads.grads[kind][layer];
+                    gw.add_unpacked_into(&mut dst.gw);
+                    add_into(&mut dst.gb, gb);
+                }
+            }
+            Fold::Step { scale, decay } => {
+                parts.clear();
+                parts.extend(lanes.iter().map(|lane| &lane.grads.grads[kind][layer].0));
+                PackedWeights::sum_unpacked_into(parts, &mut dst.gw);
+                dst.gb.fill(0.0);
+                for lane in lanes {
+                    add_into(&mut dst.gb, &lane.grads.grads[kind][layer].1);
+                }
+                // Bitwise `scale_grad(scale)` then `gw += decay · w`.
+                dst.scale_grad(scale);
+                if decay != 0.0 {
+                    for (g, &w) in dst.gw.as_mut_slice().iter_mut().zip(dst.w.as_slice()) {
+                        *g += decay * w;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst += src`, element-wise.
+fn add_into(dst: &mut [f32], src: &[f32]) {
+    for (d, &s) in dst.iter_mut().zip(src) {
+        *d += s;
+    }
+}
+
+/// Runs `sweep` over every lane on `threads` workers in **one** executor
+/// dispatch — worker `w` takes lanes `w, w + workers, …`. With a `fold`,
+/// each worker also owns a contiguous, parameter-balanced share of the
+/// unit set's layers: for [`Fold::Step`] it first repacks its share's
+/// panels, and after every lane is swept it folds the lanes' gradients
+/// into its share. A barrier separates the phases.
+///
+/// A panic in one phase must not strand the other workers at a barrier:
+/// it is caught, a poison flag skips every later phase, and the payload
+/// is re-raised after the barrier (the executor hands it to the caller).
+fn run_lanes(
+    lanes: &[RwLock<Lane>],
+    panels: &Panels,
+    threads: usize,
+    sweep: &(dyn Fn(&mut Lane, &PanelView) + Sync),
+    fold: Option<(&mut UnitSet, Fold)>,
+) {
+    let workers = threads.min(lanes.len()).max(1);
+    let (items, how) = match fold {
+        Some((units, how)) => {
+            let items: Vec<FoldItem> = units
+                .units_mut()
+                .flat_map(|(kind, mlp)| {
+                    mlp.layers_mut()
+                        .iter_mut()
+                        .enumerate()
+                        .map(move |(layer, dst)| FoldItem { kind, layer, dst })
+                })
+                .collect();
+            (items, Some(how))
+        }
+        None => (Vec::new(), None),
+    };
+    let sizes: Vec<usize> = items.iter().map(|i| i.dst.w.rows() * i.dst.w.cols()).collect();
+    let items: Vec<Mutex<FoldItem>> = items.into_iter().map(Mutex::new).collect();
+    let lock_item = |i: usize| items[i].lock().unwrap_or_else(PoisonError::into_inner);
+    let shares = balanced_cuts(&sizes, workers);
+    let barrier = Barrier::new(workers);
+    let poisoned = AtomicBool::new(false);
+    // Ends a phase: waits for every worker, re-raises this worker's own
+    // panic, and tells whether the next phase may run.
+    let phase_done = |result: std::thread::Result<()>| {
+        if result.is_err() {
+            poisoned.store(true, Ordering::Release);
+        }
+        barrier.wait();
+        if let Err(payload) = result {
+            resume_unwind(payload);
+        }
+        !poisoned.load(Ordering::Acquire)
+    };
+    Executor::global().run(workers, &|w, _pool| {
+        // Fewer layers than workers leaves the last workers no share.
+        let share = match (shares.get(w), shares.get(w + 1)) {
+            (Some(&start), Some(&end)) => start..end,
+            _ => 0..0,
+        };
+        if let Some(Fold::Step { .. }) = how {
+            let repacked = catch_unwind(AssertUnwindSafe(|| {
+                for i in share.clone() {
+                    let mut panel =
+                        panels.layers[i].write().unwrap_or_else(PoisonError::into_inner);
+                    panel.repack_from(lock_item(i).dst);
+                }
+            }));
+            if !phase_done(repacked) {
+                return;
+            }
+        }
+        let swept = catch_unwind(AssertUnwindSafe(|| {
+            let view = panels.view();
+            for slot in lanes.iter().skip(w).step_by(workers) {
+                sweep(&mut write_lane(slot), &view);
+            }
+        }));
+        let Some(how) = how else {
+            if let Err(payload) = swept {
+                resume_unwind(payload);
+            }
+            return;
+        };
+        if !phase_done(swept) {
+            return;
+        }
+        let guards: Vec<RwLockReadGuard<Lane>> = lanes.iter().map(read_lane).collect();
+        let mut parts = Vec::with_capacity(guards.len());
+        for i in share {
+            lock_item(i).fold(&guards, how, &mut parts);
+        }
+    });
+}
+
+/// A compiled, differentiable wavefront program over a training batch —
+/// the gradient-carrying twin of [`crate::infer::PlanProgram`].
+///
+/// Compile once per batch (for full-batch training, once per *run* — the
+/// trainer reuses the tape across epochs), then per gradient step:
+/// [`ProgramTape::forward_threaded`] → [`ProgramTape::loss`] →
+/// [`ProgramTape::backward_threaded`], which accumulates summed-SSE weight
+/// gradients into the unit set exactly like
+/// [`crate::tree::TreeBatch::backward`] does — the caller normalizes and
+/// applies them. All buffers (step inputs, recorded activations, output
+/// and gradient rows) are preallocated at compile time and reused across
+/// epochs; recompiling for a different batch recycles them through the
+/// lanes' [`BufferPool`]s.
+///
+/// The batch runs as one lane per thread (module docs): a tape from
+/// [`ProgramTape::compile`] starts with one lane and is laid out again
+/// whenever a forward asks for a different thread count.
+///
+/// ```
+/// use qppnet::config::{TargetCodec, TargetTransform};
+/// use qppnet::{ProgramTape, QppConfig, UnitSet};
+/// use qpp_plansim::features::{Featurizer, Whitener};
+/// use qpp_plansim::prelude::*;
+/// use rand::SeedableRng;
+///
+/// let ds = Dataset::generate(Workload::TpcH, 1.0, 12, 3);
+/// let fz = Featurizer::new(&ds.catalog);
+/// let wh = Whitener::fit(&fz, ds.plans.iter());
+/// let codec = TargetCodec::fit(TargetTransform::Log1p,
+///                              ds.plans.iter().map(|p| p.latency_ms()));
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
+///
+/// let roots: Vec<_> = ds.plans.iter().map(|p| &p.root).collect();
+/// let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
+/// units.zero_grad();
+/// tape.forward_threaded(&units, 2); // lays the batch out as two lanes
+/// let (sse, ops) = tape.loss();
+/// tape.backward_threaded(&mut units, 2); // grads now live in `units`
+/// assert!(sse >= 0.0 && ops == tape.num_nodes());
+/// assert_eq!(tape.num_lanes(), 2);
+/// ```
+pub struct ProgramTape {
+    set: Arc<TrainSet>,
+    /// The batch: indexes into `set`, in lane order.
+    plans: Vec<usize>,
+    /// Contiguous plan ranges of `plans`, one per lane; the lock hands a
+    /// lane to exactly one worker per sweep.
+    lanes: Vec<RwLock<Lane>>,
+    out_w: usize,
+    num_nodes: usize,
+    /// Packed panel state, shared read-only by every lane and refreshed
+    /// from the authoritative unit set at the start of every forward
+    /// sweep: the trainer mutates weights in place between gradient
+    /// steps, so — unlike the borrow-pinned streaming builder — the tape
+    /// can never cache panels across sweeps. Refresh is O(params), the
+    /// same order as the optimizer step it follows; the trainer's step
+    /// spreads it across its workers.
+    panels: Panels,
+}
+
+impl ProgramTape {
+    /// Compiles `roots` into a differentiable wavefront program against
+    /// the fitted model's shape, featurizing every node (one-shot
+    /// convenience; the trainer goes through a per-run feature cache
+    /// instead — `TrainSet` — which featurizes once per run, not once
+    /// per batch). The tape starts as one lane.
+    ///
+    /// # Panics
+    /// Panics if a node's child count does not match its family's arity,
+    /// or if feature sizes disagree with the unit set (a featurizer/model
+    /// mismatch).
+    pub fn compile(
+        featurizer: &Featurizer,
+        whitener: &Whitener,
+        codec: &TargetCodec,
+        units: &UnitSet,
+        roots: &[&PlanNode],
+    ) -> ProgramTape {
+        let set = Arc::new(TrainSet::prepare(featurizer, whitener, codec, roots));
+        let chunk: Vec<usize> = (0..roots.len()).collect();
+        ProgramTape::compile_from(&set, &chunk, units, 1, None)
+    }
+
+    /// Compiles the tape for one batch (`chunk` indexes into `set`) as
+    /// `lanes` lanes (fewer if the batch has fewer plans), recycling a
+    /// retired tape's buffers when one is handed back — the mini-batch
+    /// path reuses every matrix across recompiles.
+    pub(crate) fn compile_from(
+        set: &Arc<TrainSet>,
+        chunk: &[usize],
+        units: &UnitSet,
+        lanes: usize,
+        recycled: Option<ProgramTape>,
+    ) -> ProgramTape {
+        let (plans, parts, panels) = match recycled {
+            Some(tape) => {
+                let (mut plans, parts, panels) = tape.into_parts();
+                plans.clear();
+                plans.extend_from_slice(chunk);
+                (plans, parts, panels)
+            }
+            None => (chunk.to_vec(), Vec::new(), Panels::pack(units)),
+        };
+        let mut tape = ProgramTape {
+            set: Arc::clone(set),
+            plans,
+            lanes: Vec::new(),
+            out_w: units.out_size(),
+            num_nodes: 0,
+            panels,
+        };
+        tape.lay_out(units, lanes, parts);
+        tape
+    }
+
+    /// (Re)compiles the batch as `lanes` node-balanced lanes, consuming
+    /// `parts` (retired lanes' buffers) in order.
+    fn lay_out(&mut self, units: &UnitSet, lanes: usize, parts: Vec<LaneParts>) {
+        let set = &self.set;
+        let nodes: Vec<usize> = self.plans.iter().map(|&p| set.records[p].len()).collect();
+        let cuts = balanced_cuts(&nodes, lanes);
+        let mut parts = parts.into_iter();
+        self.lanes = cuts
+            .windows(2)
+            .map(|r| RwLock::new(Lane::compile(set, &self.plans[r[0]..r[1]], units, parts.next())))
+            .collect();
+        self.num_nodes = nodes.iter().sum();
+    }
+
+    /// Tears the tape down to its reusable parts: the plan list, every
+    /// lane's parts, and the packed panel state (same model shapes across
+    /// a session, so the allocation carries over; every forward refreshes
+    /// the contents anyway).
+    fn into_parts(self) -> (Vec<usize>, Vec<LaneParts>, Panels) {
+        let parts = self
+            .lanes
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).into_parts())
+            .collect();
+        (self.plans, parts, self.panels)
+    }
+
+    /// Lays the batch out again as one lane per thread when the lane count
+    /// differs from what `threads` asks for.
+    fn ensure_lanes(&mut self, units: &UnitSet, threads: usize) {
+        let want = threads.min(self.plans.len()).max(1);
+        if want != self.lanes.len() {
+            let parts = std::mem::take(&mut self.lanes)
+                .into_iter()
+                .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).into_parts())
+                .collect();
+            self.lay_out(units, want, parts);
+        }
     }
 
     /// Number of plans in the compiled batch.
     pub fn num_plans(&self) -> usize {
-        self.num_plans
+        self.plans.len()
     }
 
     /// Total operator nodes (= supervised rows) across all plans.
     pub fn num_nodes(&self) -> usize {
-        self.targets.len()
+        self.num_nodes
     }
 
-    /// Number of wavefront steps — gemm calls per unit-layer per forward
-    /// sweep (the backward executes two more per layer: weight and input
-    /// gradients). The per-class path would execute one gemm per
-    /// (equivalence class, position) instead.
+    /// Number of wavefront steps, summed over lanes — gemm calls per
+    /// unit-layer per forward sweep (the backward executes two more per
+    /// layer: weight and input gradients). The per-class path would
+    /// execute one gemm per (equivalence class, position) instead.
     pub fn num_steps(&self) -> usize {
-        self.steps.len()
+        self.lanes.iter().map(|slot| read_lane(slot).steps.len()).sum()
     }
 
-    /// Number of height levels (the barrier count of a parallel sweep).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
+    /// Number of lanes the batch is laid out as (one per thread of the
+    /// last forward).
+    pub fn num_lanes(&self) -> usize {
+        self.lanes.len()
     }
 
     fn check_units_width(&self, units: &UnitSet) {
@@ -463,174 +833,91 @@ impl ProgramTape {
         );
     }
 
-    /// Runs the recording forward pass on `threads` workers: levels
-    /// ascending, each step gathering child outputs into its input,
-    /// running its unit layer by layer into the tape's activation buffers,
-    /// and scattering the final activation into the global output rows.
-    /// Bit-identical at any thread count: workers run the same kernels on
-    /// the same tape buffers — only the assignment of steps to workers
-    /// changes (one thread runs the levels inline on the caller).
+    /// Runs the recording forward pass with one lane per thread, laying
+    /// the batch out again first if the lane count differs from
+    /// `threads`: in each lane, levels ascending, each step gathering
+    /// child outputs into its input, running its unit layer by layer into
+    /// the lane's activation buffers, and scattering the final activation
+    /// into the lane's output rows. Outputs are bit-identical at any
+    /// thread count (the kernels are row-invariant).
     pub fn forward_threaded(&mut self, units: &UnitSet, threads: usize) {
         self.check_units_width(units);
+        self.ensure_lanes(units, threads);
+        self.forward_lanes(units, threads);
+    }
+
+    /// The forward over the current lane layout on `threads` workers.
+    fn forward_lanes(&mut self, units: &UnitSet, threads: usize) {
         // Refresh the packed panels from the authoritative weights (the
         // trainer mutates them in place between gradient steps). The
         // following backward reads the same packed state — exactly the
         // weights this forward used.
-        self.packed.repack_from(units);
-        let threads = threads.min(max_level_width(&self.levels));
-        let out_w = self.out_w;
-        if threads <= 1 {
-            for level_idx in 0..self.levels.len() {
-                for s in 0..self.levels[level_idx].len() {
-                    let id = self.levels[level_idx][s] as usize;
-                    let step = &mut self.steps[id];
-                    let outputs = &mut self.outputs;
-                    gather_child_columns(
-                        &step.child_rows,
-                        step.arity,
-                        step.feat_width,
-                        out_w,
-                        &mut step.input,
-                        |r| outputs.row(r),
-                    );
-                    let last = forward_layers(step, &mut self.acts[id], &self.packed);
-                    last.scatter_rows_into(&step.rows, outputs);
-                }
-            }
-        } else {
-            let packed = &self.packed;
-            let steps = SharedSlab::new(&mut self.steps);
-            let acts = SharedSlab::new(&mut self.acts);
-            let outputs = SharedRows::new(&mut self.outputs);
-            // The workers carry no private state in the forward — the tape
-            // buffers themselves are the storage (disjoint per step).
-            let mut workers = vec![(); threads];
-            let exec = Executor::global();
-            run_levels_parallel_with(exec, &self.levels, false, &mut workers, &|(), _pool, id| {
-                // SAFETY: each step id appears in exactly one level list
-                // once, and the round-robin deal hands it to exactly one
-                // worker — no two threads touch the same step's input or
-                // activation buffers within a level.
-                let step = unsafe { steps.get_mut(id as usize) };
-                let step_acts = unsafe { acts.get_mut(id as usize) };
-                // SAFETY (row reads): child rows live at strictly lower
-                // heights — written in an earlier level, sequenced by the
-                // inter-level barrier.
-                gather_child_columns(
-                    &step.child_rows,
-                    step.arity,
-                    step.feat_width,
-                    out_w,
-                    &mut step.input,
-                    |r| unsafe { outputs.row(r) },
-                );
-                let last = forward_layers(step, step_acts, packed);
-                for (k, &r) in step.rows.iter().enumerate() {
-                    // SAFETY: each output row belongs to exactly one step.
-                    unsafe { outputs.write_row(r, last.row(k)) };
-                }
-            });
-        }
+        self.panels.repack_from(units);
+        run_lanes(&self.lanes, &self.panels, threads, &|lane, panels| lane.forward(panels), None);
     }
 
     /// Computes the summed-squared-error loss over **every operator of
     /// every plan** (Equation 7's all-operator supervision) from the last
-    /// forward, and seeds the gradient buffer the backward sweep consumes:
+    /// forward, and seeds the gradient buffers the backward sweep consumes:
     /// `∂loss/∂output(r) = 2·(outputs[r, 0] − target[r])` in the latency
     /// column, zero elsewhere.
     ///
-    /// Returns `(sse, supervised row count)`. Like
+    /// Returns `(sse, supervised row count)`; the SSE is summed per lane,
+    /// then across lanes in lane order. Like
     /// [`crate::tree::TreeBatch::loss`], gradients are **unnormalized**
     /// (pure SSE): the trainer normalizes once by the batch's total
     /// operator count — §5.1.1's unbiased recombination.
     pub fn loss(&mut self) -> (f64, usize) {
-        self.grad_outputs.fill_zero();
         let mut sse = 0.0f64;
-        for (r, &target) in self.targets.iter().enumerate() {
-            let err = self.outputs.get(r, 0) - target;
-            sse += (err as f64) * (err as f64);
-            self.grad_outputs.set(r, 0, 2.0 * err);
+        for slot in &mut self.lanes {
+            let lane = slot.get_mut().unwrap_or_else(PoisonError::into_inner);
+            lane.loss();
+            sse += lane.sse;
         }
-        (sse, self.targets.len())
+        (sse, self.num_nodes)
     }
 
-    /// Runs the reverse sweep on `threads` workers, accumulating weight
-    /// and bias gradients into `units` (summed with whatever is already
-    /// there, exactly like [`crate::tree::TreeBatch::backward`]): levels
-    /// descending, each step gathering its members' output gradients,
-    /// walking its unit's layers in reverse, and scatter-adding child
-    /// gradient blocks onto the children's rows. Each worker accumulates
-    /// into its own private gradient set against the shared read-only
-    /// weights, reduced into `units` after the sweep — equivalent to the
-    /// one-thread sweep up to f32 summation order (the same contract as
-    /// the legacy data-parallel trainer).
+    /// Runs the reverse sweep over the lanes of the last forward on
+    /// `threads` workers (the lane layout is not changed here — it
+    /// belongs to the recorded forward), accumulating weight and bias
+    /// gradients into `units` (summed with whatever is already there,
+    /// exactly like [`crate::tree::TreeBatch::backward`]): each lane
+    /// sweeps its levels descending into its own gradient set, and the
+    /// sets are folded into `units` in lane order — bit-identical at any
+    /// thread count for a given lane layout.
     ///
     /// Call [`ProgramTape::loss`] (after a forward) first — it seeds the
-    /// gradient buffer this sweep drains.
+    /// gradient buffers this sweep drains.
     pub fn backward_threaded(&mut self, units: &mut UnitSet, threads: usize) {
         self.check_units_width(units);
-        let threads = threads.min(max_level_width(&self.levels)).max(1);
-        while self.worker_grads.len() < threads {
-            self.worker_grads.push(GradSet::new_like(units));
-        }
-        for g in &mut self.worker_grads[..threads] {
-            g.zero();
-        }
+        let sweep = |lane: &mut Lane, panels: &PanelView| lane.backward(panels);
+        run_lanes(&self.lanes, &self.panels, threads, &sweep, Some((units, Fold::Accumulate)));
+    }
 
-        if threads <= 1 {
-            let grads = &mut self.worker_grads[0];
-            for level in self.levels.iter().rev() {
-                for &id in level {
-                    let id = id as usize;
-                    let step = &self.steps[id];
-                    let mut d = self.pool.take(step.rows.len(), self.out_w);
-                    self.grad_outputs.gather_rows_into(&step.rows, &mut d);
-                    let dx =
-                        backward_layers(step, &self.acts[id], &self.packed, d, grads, &mut self.pool);
-                    if let Some(dx) = dx {
-                        route_child_grads_seq(step, &dx, &mut self.grad_outputs, self.out_w);
-                        self.pool.give(dx);
-                    }
-                }
-            }
-        } else {
-            let packed = &self.packed;
-            let steps = &self.steps;
-            let acts = &self.acts;
-            let out_w = self.out_w;
-            let grad_outputs = SharedRows::new(&mut self.grad_outputs);
-            // Each worker's scratch pool is its resident executor pool;
-            // only the gradient accumulators are tape-owned worker state.
-            let workers = &mut self.worker_grads[..threads];
-            let exec = Executor::global();
-            run_levels_parallel_with(exec, &self.levels, true, workers, &|grads, pool, id| {
-                let id = id as usize;
-                let step = &steps[id];
-                let members = step.rows.len();
-                let mut d = pool.take(members, out_w);
-                for (k, &r) in step.rows.iter().enumerate() {
-                    // SAFETY: row `r`'s gradient is complete — its only
-                    // writers are the loss seed (before the sweep) and
-                    // `r`'s parent step, which lives at a strictly higher
-                    // height: an earlier reverse level, barrier-sequenced.
-                    d.row_mut(k).copy_from_slice(unsafe { grad_outputs.row(r) });
-                }
-                let dx = backward_layers(step, &acts[id], packed, d, grads, pool);
-                if let Some(dx) = dx {
-                    // SAFETY: a node has at most one parent, so this step
-                    // is the only writer of each routed child's gradient
-                    // row in the whole sweep.
-                    scatter_child_grad_columns(step, &dx, out_w, |child, src| unsafe {
-                        grad_outputs.add_to_row(child, src);
-                    });
-                    pool.give(dx);
-                }
-            });
-        }
-
-        for g in &self.worker_grads[..threads] {
-            g.add_into(units);
-        }
+    /// One whole gradient step in one executor dispatch: forward, loss and
+    /// backward per lane, then the fold into `units` — overwriting their
+    /// gradients with the batch's summed-SSE gradients normalized by its
+    /// operator count (§5.1.1's unbiased recombination) plus `decay ·
+    /// w` weight decay on weights (not biases). The caller applies them.
+    /// Returns `(sse, supervised row count)` like [`ProgramTape::loss`].
+    pub(crate) fn train_step(
+        &mut self,
+        units: &mut UnitSet,
+        threads: usize,
+        decay: f32,
+    ) -> (f64, usize) {
+        self.check_units_width(units);
+        self.ensure_lanes(units, threads);
+        let ops = self.num_nodes;
+        let how = Fold::Step { scale: 1.0 / ops.max(1) as f32, decay };
+        let sweep = |lane: &mut Lane, panels: &PanelView| {
+            lane.forward(panels);
+            lane.loss();
+            lane.backward(panels);
+        };
+        run_lanes(&self.lanes, &self.panels, threads, &sweep, Some((units, how)));
+        let sse = self.lanes.iter().map(|slot| read_lane(slot).sse).sum();
+        (sse, ops)
     }
 }
 
@@ -641,12 +928,12 @@ impl ProgramTape {
 /// sums over one batch are order-independent — so the common full-batch
 /// configuration (`batch_size >= plans`) compiles **one** tape in
 /// canonical order and reuses it for the whole run: zero per-epoch
-/// compilation, zero steady-state allocation. Mini-batch configurations
-/// recompile per chunk (membership really changes) but recycle every
-/// buffer through the retiring tape's pool, and never re-featurize — the
-/// `TrainSet` did that once.
+/// compilation. Mini-batch configurations recompile per chunk
+/// (membership really changes) but recycle every buffer through the
+/// retiring tape's lanes, and never re-featurize — the `TrainSet` did
+/// that once.
 pub(crate) struct ProgramSession {
-    set: TrainSet,
+    set: Arc<TrainSet>,
     /// The compile-once tape for full-set chunks.
     full_tape: Option<ProgramTape>,
     /// The recycled tape for mini-batch chunks.
@@ -662,27 +949,31 @@ impl ProgramSession {
         roots: &[&PlanNode],
     ) -> ProgramSession {
         ProgramSession {
-            set: TrainSet::prepare(featurizer, whitener, codec, roots),
+            set: Arc::new(TrainSet::prepare(featurizer, whitener, codec, roots)),
             full_tape: None,
             scratch_tape: None,
         }
     }
 
-    /// The tape for one shuffled chunk: the cached full-batch tape when
-    /// the chunk covers the whole set (order is irrelevant to the sums),
-    /// a buffer-recycling recompile otherwise.
-    pub(crate) fn tape_for(&mut self, chunk: &[usize], units: &UnitSet) -> &mut ProgramTape {
+    /// The tape for one shuffled chunk, laid out as `lanes` lanes: the
+    /// cached full-batch tape when the chunk covers the whole set (order
+    /// is irrelevant to the sums), a buffer-recycling recompile otherwise.
+    pub(crate) fn tape_for(
+        &mut self,
+        chunk: &[usize],
+        units: &UnitSet,
+        lanes: usize,
+    ) -> &mut ProgramTape {
         if chunk.len() == self.set.len() {
-            if self.full_tape.is_none() {
-                let canonical: Vec<usize> = (0..self.set.len()).collect();
-                self.full_tape =
-                    Some(ProgramTape::compile_from(&self.set, &canonical, units, None));
-            }
-            self.full_tape.as_mut().expect("compiled above")
+            let set = &self.set;
+            self.full_tape.get_or_insert_with(|| {
+                let canonical: Vec<usize> = (0..set.len()).collect();
+                ProgramTape::compile_from(set, &canonical, units, lanes, None)
+            })
         } else {
             let recycled = self.scratch_tape.take();
             self.scratch_tape =
-                Some(ProgramTape::compile_from(&self.set, chunk, units, recycled));
+                Some(ProgramTape::compile_from(&self.set, chunk, units, lanes, recycled));
             self.scratch_tape.as_mut().expect("compiled above")
         }
     }
@@ -690,8 +981,11 @@ impl ProgramSession {
 
 /// Runs one step's unit forward layer by layer into the tape's recording
 /// buffers, returning the final activation (the step's output rows).
-fn forward_layers<'a>(step: &Step, acts: &'a mut [Matrix], packed: &PackedUnits) -> &'a Matrix {
-    let layers = packed.unit(step.kind).layers();
+fn forward_layers<'a>(
+    step: &Step,
+    acts: &'a mut [Matrix],
+    layers: &[RwLockReadGuard<PackedDense>],
+) -> &'a Matrix {
     debug_assert_eq!(layers.len(), acts.len(), "tape recorded a different layer count");
     for l in 0..layers.len() {
         let (done, rest) = acts.split_at_mut(l);
@@ -711,12 +1005,11 @@ fn forward_layers<'a>(step: &Step, acts: &'a mut [Matrix], packed: &PackedUnits)
 fn backward_layers(
     step: &Step,
     acts: &[Matrix],
-    packed: &PackedUnits,
+    layers: &[RwLockReadGuard<PackedDense>],
     d: Matrix,
     grads: &mut GradSet,
     pool: &mut BufferPool,
 ) -> Option<Matrix> {
-    let layers = packed.unit(step.kind).layers();
     let mut d = d;
     for l in (0..layers.len()).rev() {
         let layer = &layers[l];
@@ -738,78 +1031,26 @@ fn backward_layers(
 }
 
 /// Scatter-adds the child column blocks of a step's input gradient onto
-/// the children's gradient rows — the adjoint of
-/// [`gather_child_columns`], and like it the **single** copy of the
-/// column-block routing layout (`fw + j·out_w`, node-major `child_rows`
-/// stride) shared by the sequential and parallel backward; `add_row`
-/// abstracts the sink (plain matrix rows or a [`SharedRows`] view)
-/// exactly as the gather's `row_of` abstracts its source.
-fn scatter_child_grad_columns(
-    step: &Step,
-    dx: &Matrix,
-    out_w: usize,
-    mut add_row: impl FnMut(usize, &[f32]),
-) {
+/// the children's gradient rows — the adjoint of [`gather_child_columns`]
+/// (`fw + j·out_w` column blocks, node-major `child_rows` stride). Unary
+/// families hand their (contiguous) child list straight to the
+/// [`Matrix::scatter_add_cols_into`] kernel.
+fn route_child_grads(step: &Step, dx: &Matrix, grad_outputs: &mut Matrix, out_w: usize) {
     let fw = step.feat_width;
-    for i in 0..dx.rows() {
-        for j in 0..step.arity {
-            let child = step.child_rows[i * step.arity + j];
-            add_row(child, &dx.row(i)[fw + j * out_w..fw + (j + 1) * out_w]);
-        }
-    }
-}
-
-/// The sequential backward's child routing: unary families hand their
-/// (contiguous) child list straight to the
-/// [`Matrix::scatter_add_cols_into`] kernel; higher arities go through
-/// the shared [`scatter_child_grad_columns`] walk.
-fn route_child_grads_seq(step: &Step, dx: &Matrix, grad_outputs: &mut Matrix, out_w: usize) {
     match step.arity {
         0 => {}
-        1 => dx.scatter_add_cols_into(step.feat_width, &step.child_rows, grad_outputs),
-        _ => scatter_child_grad_columns(step, dx, out_w, |child, src| {
-            for (dst, &s) in grad_outputs.row_mut(child).iter_mut().zip(src) {
-                *dst += s;
+        1 => dx.scatter_add_cols_into(fw, &step.child_rows, grad_outputs),
+        arity => {
+            for i in 0..dx.rows() {
+                for j in 0..arity {
+                    let src = &dx.row(i)[fw + j * out_w..fw + (j + 1) * out_w];
+                    let dst = grad_outputs.row_mut(step.child_rows[i * arity + j]);
+                    for (d, &s) in dst.iter_mut().zip(src) {
+                        *d += s;
+                    }
+                }
             }
-        }),
-    }
-}
-
-/// A raw-pointer view of a slab (`Vec<T>`) that hands out disjoint `&mut`
-/// elements to worker threads — the per-step twin of
-/// [`SharedRows`]: the level schedule assigns each step id to
-/// exactly one worker, so element accesses never alias. Lives only inside
-/// one executor invocation's scope, which holds the `&mut [T]` borrow for
-/// the view's whole lifetime.
-struct SharedSlab<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a mut [T]>,
-}
-
-/// SAFETY: see the type-level contract — all element accesses are disjoint
-/// (one step id, one worker), so handing the view to multiple threads is
-/// sound for any `Send` element.
-unsafe impl<T: Send> Send for SharedSlab<'_, T> {}
-/// SAFETY: as for [`Send`].
-unsafe impl<T: Send> Sync for SharedSlab<'_, T> {}
-
-impl<'a, T> SharedSlab<'a, T> {
-    fn new(slice: &'a mut [T]) -> SharedSlab<'a, T> {
-        SharedSlab { ptr: slice.as_mut_ptr(), len: slice.len(), _borrow: std::marker::PhantomData }
-    }
-
-    /// Mutably borrows element `i`.
-    ///
-    /// # Safety
-    /// The caller must be the only thread accessing element `i` for the
-    /// borrow's lifetime (each step belongs to exactly one worker within
-    /// a level, and levels are barrier-separated).
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // the raw-pointer escape hatch IS the point; see the safety contract
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        debug_assert!(i < self.len, "slab index {i} out of range for {} elements", self.len);
-        &mut *self.ptr.add(i)
+        }
     }
 }
 
@@ -833,6 +1074,28 @@ mod tests {
         (ds, fz, wh, units, codec)
     }
 
+    impl ProgramTape {
+        /// Every lane's output rows, stacked in lane order — the global
+        /// row order of a one-lane tape.
+        fn stacked_outputs(&self) -> Matrix {
+            let mut out = Matrix::zeros(self.num_nodes, self.out_w);
+            let mut r = 0;
+            for slot in &self.lanes {
+                let lane = read_lane(slot);
+                for k in 0..lane.outputs.rows() {
+                    out.row_mut(r).copy_from_slice(lane.outputs.row(k));
+                    r += 1;
+                }
+            }
+            out
+        }
+
+        /// Matrices pooled across every lane.
+        fn pooled_buffers(&self) -> usize {
+            self.lanes.iter().map(|slot| read_lane(slot).pool.available()).sum()
+        }
+    }
+
     fn grads_snapshot(units: &UnitSet) -> Vec<(Matrix, Vec<f32>)> {
         OpKind::ALL
             .iter()
@@ -851,6 +1114,16 @@ mod tests {
                 let rel = (x - y).abs() / (1.0 + x.abs().max(y.abs()));
                 assert!(rel < tol, "layer {i}: bias grad {x} vs {y} (rel {rel})");
             }
+        }
+    }
+
+    fn assert_grads_bitwise(a: &[(Matrix, Vec<f32>)], b: &[(Matrix, Vec<f32>)], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (i, ((gw_a, gb_a), (gw_b, gb_b))) in a.iter().zip(b).enumerate() {
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let same_gw = bits(gw_a.as_slice()) == bits(gw_b.as_slice());
+            assert!(same_gw, "{what}: layer {i} weight grads");
+            assert!(bits(gb_a) == bits(gb_b), "{what}: layer {i} bias grads");
         }
     }
 
@@ -879,49 +1152,125 @@ mod tests {
         program.run_parallel(&units, 1);
         // Same kernels, same grouping policy (shared WavefrontBuilder) —
         // the training forward IS the serving forward, bit for bit.
-        assert_eq!(tape.outputs, *program.outputs_for_tests());
+        assert_eq!(tape.stacked_outputs(), *program.outputs_for_tests());
+    }
+
+    /// Lanes regroup rows into different gemm calls, never a row's
+    /// arithmetic: at any lane count the stacked lane outputs are the
+    /// serving program's outputs, bit for bit.
+    #[test]
+    fn lane_forwards_match_serving_program_at_any_lane_count() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH, 20, 17);
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let mut program = crate::infer::PlanProgram::compile(&fz, &wh, &units, &roots);
+        program.run_parallel(&units, 1);
+        let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
+        for lanes in 1..=4 {
+            tape.forward_threaded(&units, lanes);
+            assert_eq!(tape.num_lanes(), lanes);
+            assert_eq!(tape.stacked_outputs(), *program.outputs_for_tests(), "{lanes} lanes");
+        }
+    }
+
+    #[test]
+    fn lanes_are_contiguous_node_balanced_and_non_empty() {
+        assert_eq!(balanced_cuts(&[5, 5, 5, 5], 2), vec![0, 2, 4]);
+        assert_eq!(balanced_cuts(&[10, 1, 1, 1, 1, 1], 2), vec![0, 1, 6]);
+        // Never an empty range, even when one item outweighs the rest.
+        assert_eq!(balanced_cuts(&[1, 100, 1], 3), vec![0, 1, 2, 3]);
+        // Fewer items than parts: one range per item; none: one empty range.
+        assert_eq!(balanced_cuts(&[3, 4], 8), vec![0, 1, 2]);
+        assert_eq!(balanced_cuts(&[], 4), vec![0, 0]);
     }
 
     #[test]
     fn threaded_sweeps_match_sequential() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs, 24, 13);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
-        let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
+        let set = Arc::new(TrainSet::prepare(&fz, &wh, &codec, &roots));
+        let chunk: Vec<usize> = (0..roots.len()).collect();
+        let mut one_lane = ProgramTape::compile_from(&set, &chunk, &units, 1, None);
+        let mut one_lane_units = units.clone();
+        one_lane_units.zero_grad();
+        one_lane.forward_threaded(&units, 1);
+        let one_lane_out = one_lane.stacked_outputs();
+        let (one_lane_sse, _) = one_lane.loss();
+        one_lane.backward_threaded(&mut one_lane_units, 1);
+        let one_lane_grads = grads_snapshot(&one_lane_units);
 
-        let mut seq_units = units.clone();
-        seq_units.zero_grad();
-        tape.forward_threaded(&units, 1);
-        let (seq_sse, _) = tape.loss();
-        tape.backward_threaded(&mut seq_units, 1);
-        let seq_out = tape.outputs.clone();
-        let seq = grads_snapshot(&seq_units);
-
-        for threads in [2usize, 4, 8] {
+        // A fixed four-lane layout, swept by 1, 2, 4 and 8 threads.
+        let mut tape = ProgramTape::compile_from(&set, &chunk, &units, 4, None);
+        assert_eq!(tape.num_lanes(), 4);
+        let mut reference = None;
+        for threads in [1usize, 2, 4, 8] {
             let mut par_units = units.clone();
             par_units.zero_grad();
-            tape.forward_threaded(&units, threads);
-            // Forward is bit-identical: same buffers, same kernels.
-            assert_eq!(tape.outputs, seq_out, "{threads}-thread forward diverged");
+            tape.forward_lanes(&units, threads);
+            assert_eq!(tape.num_lanes(), 4, "a sweep must not re-lay the lanes");
+            // Forward is bit-identical to one lane: row-invariant kernels.
+            assert_eq!(tape.stacked_outputs(), one_lane_out, "{threads}-thread forward diverged");
             let (sse, _) = tape.loss();
-            assert_eq!(sse, seq_sse);
+            // Per-lane SSE sums regroup the f64 sum only.
+            assert!((sse - one_lane_sse).abs() <= 1e-9 * one_lane_sse, "{sse} vs {one_lane_sse}");
             tape.backward_threaded(&mut par_units, threads);
-            // Gradients agree up to f32 summation order (worker-local
-            // accumulation then reduction).
-            assert_grads_close(&grads_snapshot(&par_units), &seq, 1e-5);
+            // Gradients of one lane layout are bitwise-equal at any thread
+            // count: lanes sum alone and fold in lane order.
+            let grads = grads_snapshot(&par_units);
+            // Against one lane, the sums regroup by lane: f32 summation
+            // order only.
+            assert_grads_close(&grads, &one_lane_grads, 1e-5);
+            match &reference {
+                None => reference = Some((sse, grads)),
+                Some((ref_sse, ref_grads)) => {
+                    assert_eq!(sse.to_bits(), ref_sse.to_bits(), "{threads}-thread loss");
+                    assert_grads_bitwise(&grads, ref_grads, &format!("{threads} threads"));
+                }
+            }
         }
+    }
+
+    /// The trainer's fused step — one dispatch for forward, loss, backward
+    /// and the normalizing fold — is bitwise the separate sweeps followed
+    /// by `scale_grad` and `add_weight_decay`.
+    #[test]
+    fn fused_train_step_matches_separate_sweeps() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH, 18, 29);
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
+        let decay = 1e-3;
+
+        let mut separate = units.clone();
+        separate.zero_grad();
+        tape.forward_threaded(&units, 2);
+        let (sse, ops) = tape.loss();
+        tape.backward_threaded(&mut separate, 2);
+        separate.scale_grad(1.0 / ops as f32);
+        separate.add_weight_decay(decay);
+
+        // Stale gradients must be overwritten, not summed into.
+        let mut fused = units.clone();
+        for kind in OpKind::ALL {
+            for layer in fused.unit_mut(kind).layers_mut() {
+                layer.gw.map_inplace(|_| 9.0);
+                layer.gb.fill(9.0);
+            }
+        }
+        let (fused_sse, fused_ops) = tape.train_step(&mut fused, 2, decay);
+        assert_eq!((fused_sse.to_bits(), fused_ops), (sse.to_bits(), ops));
+        assert_grads_bitwise(&grads_snapshot(&fused), &grads_snapshot(&separate), "fused step");
     }
 
     #[test]
     fn minibatch_recompiles_recycle_buffers() {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH, 16, 21);
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
-        let set = TrainSet::prepare(&fz, &wh, &codec, &roots);
+        let set = Arc::new(TrainSet::prepare(&fz, &wh, &codec, &roots));
         assert_eq!(set.len(), 16);
         assert_eq!(set.total_nodes(), ds.plans.iter().map(|p| p.node_count()).sum::<usize>());
 
         let chunk_a: Vec<usize> = (0..8).collect();
         let chunk_b: Vec<usize> = (8..16).collect();
-        let mut tape = ProgramTape::compile_from(&set, &chunk_a, &units, None);
+        let mut tape = ProgramTape::compile_from(&set, &chunk_a, &units, 1, None);
         let mut scratch_units = units.clone();
         // Warm both sweeps so scratch buffers reach their high-water mark.
         tape.forward_threaded(&units, 1);
@@ -930,18 +1279,18 @@ mod tests {
         // Recompile churn: after the first swap, steady-state recompiles
         // must not allocate fresh matrices (every take is served by the
         // recycled pool at or under its high-water mark).
-        tape = ProgramTape::compile_from(&set, &chunk_b, &units, Some(tape));
+        tape = ProgramTape::compile_from(&set, &chunk_b, &units, 1, Some(tape));
         tape.forward_threaded(&units, 1);
         tape.loss();
         tape.backward_threaded(&mut scratch_units, 1);
-        let watermark = tape.pool.available();
+        let watermark = tape.pooled_buffers();
         for chunk in [&chunk_a, &chunk_b, &chunk_a] {
-            tape = ProgramTape::compile_from(&set, chunk, &units, Some(tape));
+            tape = ProgramTape::compile_from(&set, chunk, &units, 1, Some(tape));
             tape.forward_threaded(&units, 1);
             tape.loss();
             tape.backward_threaded(&mut scratch_units, 1);
             assert!(
-                tape.pool.available() <= watermark + 1,
+                tape.pooled_buffers() <= watermark + 1,
                 "recompile grew the pool past its high-water mark"
             );
         }

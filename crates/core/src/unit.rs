@@ -64,6 +64,12 @@ impl UnitSet {
         &mut self.units[kind.index()]
     }
 
+    /// Mutably borrows every unit with its family, in [`OpKind::ALL`]
+    /// order (disjoint borrows, so each can go to a different worker).
+    pub(crate) fn units_mut(&mut self) -> impl Iterator<Item = (OpKind, &mut Mlp)> {
+        OpKind::ALL.into_iter().zip(self.units.iter_mut())
+    }
+
     /// Total trainable parameters across all units.
     pub fn num_params(&self) -> usize {
         self.units.iter().map(Mlp::num_params).sum()
@@ -153,27 +159,25 @@ impl UnitSet {
 
 /// Packed-panel acceleration state for a [`UnitSet`]: one
 /// [`PackedMlp`] per operator family, in [`OpKind::ALL`] order. The
-/// serving program and training tape run every wavefront gemm against
-/// these panels; the `UnitSet` stays the single authoritative (and
-/// serialized) parameter store, and packed state is rebuilt from it at
-/// compile / weight-update time (see `qpp_nn::packed`).
+/// serving program and the streaming builder run every wavefront gemm
+/// against these forward panels (the training tape keeps its own,
+/// backward panels included); the `UnitSet` stays the single
+/// authoritative (and serialized) parameter store, and packed state is
+/// rebuilt from it at compile / weight-update time (see
+/// `qpp_nn::packed`).
 #[derive(Debug, Clone)]
 pub(crate) struct PackedUnits {
     units: Vec<PackedMlp>,
 }
 
 impl PackedUnits {
-    /// Packs every unit; `with_backward` additionally builds the
-    /// transposed panels the training tape's input-gradient gemm needs
-    /// (serving packs skip them).
-    pub(crate) fn pack(src: &UnitSet, with_backward: bool) -> PackedUnits {
-        PackedUnits {
-            units: src.units.iter().map(|u| PackedMlp::pack(u, with_backward)).collect(),
-        }
+    /// Packs every unit's forward panels.
+    pub(crate) fn pack(src: &UnitSet) -> PackedUnits {
+        PackedUnits { units: src.units.iter().map(|u| PackedMlp::pack(u, false)).collect() }
     }
 
     /// Refreshes every packed unit from `src` without reallocating
-    /// (called by the training tape after each in-place weight update).
+    /// (called by a serving program whose unit set's weights moved).
     ///
     /// # Panics
     /// Panics if `src`'s shapes differ from the packed shapes.

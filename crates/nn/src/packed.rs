@@ -156,7 +156,7 @@ impl PackedWeights {
             (self.depth, self.width),
             "repack shape mismatch"
         );
-        self.data.fill(ZERO_GROUP);
+        self.zero_ragged_tail();
         for k in 0..self.depth {
             let row = src.row(k);
             for g in 0..self.groups {
@@ -169,6 +169,11 @@ impl PackedWeights {
 
     /// Rewrites the panels from `srcᵀ` without reallocating.
     ///
+    /// Walks `src` row by row: row `j` of `W` is logical column `j` of
+    /// `Wᵀ`, i.e. one lane of group `j / LANES`, so each source row is
+    /// read once, contiguously, into one `depth`-long panel that stays
+    /// L1-resident while its 16 lanes fill.
+    ///
     /// # Panics
     /// Panics if `srcᵀ`'s shape differs from the packed shape.
     pub fn repack_transposed_from(&mut self, src: &Matrix) {
@@ -177,12 +182,22 @@ impl PackedWeights {
             (self.depth, self.width),
             "repack shape mismatch"
         );
-        self.data.fill(ZERO_GROUP);
-        for k in 0..self.depth {
-            // Logical row k of Wᵀ is column k of W.
-            for j in 0..self.width {
-                self.data[(j / LANES) * self.depth + k].0[j % LANES] = src.get(j, k);
+        self.zero_ragged_tail();
+        for j in 0..self.width {
+            let (g, lane) = (j / LANES, j % LANES);
+            let panel = &mut self.data[g * self.depth..(g + 1) * self.depth];
+            for (dst, &v) in panel.iter_mut().zip(src.row(j)) {
+                dst.0[lane] = v;
             }
+        }
+    }
+
+    /// Zeroes the last group when the width leaves padding lanes in it —
+    /// the only lanes a repack does not overwrite. A width that is a
+    /// multiple of [`LANES`] has no padding, so nothing is cleared.
+    fn zero_ragged_tail(&mut self) {
+        if !self.width.is_multiple_of(LANES) {
+            self.data[(self.groups - 1) * self.depth..].fill(ZERO_GROUP);
         }
     }
 
@@ -216,6 +231,39 @@ impl PackedWeights {
                 for (d, s) in drow[g * LANES..g * LANES + lanes].iter_mut().zip(src) {
                     *d += s;
                 }
+            }
+        }
+    }
+
+    /// Overwrites `dst` with the logical sum of `parts`, each element
+    /// summed onto `+0.0` in slice order — bitwise what zeroing `dst` and
+    /// calling [`PackedWeights::add_unpacked_into`] once per part gives,
+    /// in one pass over `dst`: the ordered fold of several packed
+    /// gradient accumulators into one row-major `gw`.
+    ///
+    /// # Panics
+    /// Panics if a part's or `dst`'s shape differs from the first part's.
+    pub fn sum_unpacked_into(parts: &[&PackedWeights], dst: &mut Matrix) {
+        let Some(first) = parts.first() else {
+            dst.fill_zero();
+            return;
+        };
+        let (depth, width, groups) = (first.depth, first.width, first.groups);
+        assert_eq!((dst.rows(), dst.cols()), (depth, width), "unpack shape mismatch");
+        for p in parts {
+            assert_eq!((p.depth, p.width), (depth, width), "unpack shape mismatch");
+        }
+        for k in 0..depth {
+            let drow = dst.row_mut(k);
+            for g in 0..groups {
+                let lanes = (width - g * LANES).min(LANES);
+                let mut acc = [0.0f32; LANES];
+                for p in parts {
+                    for (a, &s) in acc.iter_mut().zip(&p.data[g * depth + k].0) {
+                        *a += s;
+                    }
+                }
+                drow[g * LANES..g * LANES + lanes].copy_from_slice(&acc[..lanes]);
             }
         }
     }
@@ -1096,6 +1144,46 @@ mod tests {
                     assert_eq!(t.get(j, i).to_bits(), m.get(i, j).to_bits());
                 }
             }
+        }
+    }
+
+    /// Both repacks, over every [`SHAPES`] weight shape (`k × m`, ragged
+    /// tails included), rewrite a *dirty* buffer into exactly the
+    /// element-wise layout: every logical lane holds its source element
+    /// and every padding lane is `+0.0`, so a lane the repack skipped
+    /// would still hold the stale fill.
+    #[test]
+    fn repacks_match_elementwise_layout_over_dirty_buffers() {
+        let mut rng = StdRng::seed_from_u64(19);
+        let stale = Align64([f32::NAN; LANES]);
+        let check = |p: &PackedWeights, at: &dyn Fn(usize, usize) -> f32, what: &str| {
+            for g in 0..p.groups {
+                for k in 0..p.depth {
+                    for lane in 0..LANES {
+                        let j = g * LANES + lane;
+                        let want = if j < p.width { at(k, j) } else { 0.0 };
+                        let got = p.data[g * p.depth + k].0[lane];
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{what} {}x{}: ({k}, {j})",
+                            p.depth,
+                            p.width
+                        );
+                    }
+                }
+            }
+        };
+        for (_, k, m) in SHAPES {
+            let w = sparse(k, m, 0.3, &mut rng);
+            let mut p = PackedWeights::zeros(k, m);
+            p.data.fill(stale);
+            p.repack_from(&w);
+            check(&p, &|r, c| w.get(r, c), "repack");
+            let mut t = PackedWeights::zeros(m, k);
+            t.data.fill(stale);
+            t.repack_transposed_from(&w);
+            check(&t, &|r, c| w.get(c, r), "transposed repack");
         }
     }
 
