@@ -23,8 +23,9 @@
 //! can be folded into the builder (DESIGN.md §10); `program_precompiled`
 //! times the steady-state compile-once/run-many loop (e.g. an admission
 //! controller re-scoring a queue), with a thread-count axis (t1/t2/t4)
-//! over `PlanProgram::run_parallel` — the multicore scaling table in the
-//! README is generated from these rows. `compile` and `featurize` isolate
+//! over `PlanProgram::run_parallel`, which runs one plan lane per thread
+//! — the multicore scaling table in the README is generated from these
+//! rows. `compile` and `featurize` isolate
 //! the one-shot path's fixed costs (schedule construction and Table-2
 //! featurization respectively); their ratio is the number behind the
 //! ROADMAP's incremental-compile lead.
@@ -110,7 +111,7 @@ fn bench_mixed_stream(c: &mut Criterion) {
                     for p in plans.iter() {
                         stream.admit(&p.root);
                     }
-                    out.extend(stream.predict_roots_threaded(1));
+                    out.extend(stream.predict_roots());
                 }
                 out
             })
@@ -127,8 +128,9 @@ fn bench_mixed_stream(c: &mut Criterion) {
         });
 
         // Steady-state serving: the schedule and buffers are compiled once
-        // and re-run per request, on 1/2/4 worker threads (results are
-        // bit-identical across the axis; only wall clock moves).
+        // and re-run per request, as 1/2/4 plan lanes (results are
+        // bit-identical across the axis; only wall clock moves). The first
+        // run at a new thread count lays the lanes out again.
         let mut prog_h = model_h.compile_program(&plans_h);
         let mut prog_ds = model_ds.compile_program(&plans_ds);
         for t in THREADS {
@@ -198,7 +200,7 @@ fn bench_mixed_stream(c: &mut Criterion) {
                 {
                     let stream = if which { &mut churn_h } else { &mut churn_ds };
                     let id = stream.admit(&plan.root);
-                    acc += stream.predict_root_threaded(id, 1);
+                    acc += stream.predict_root(id);
                     window.push_back((which, id));
                     if window.len() > 32 {
                         let (w, old) = window.pop_front().unwrap();
@@ -238,7 +240,7 @@ fn bench_mixed_stream(c: &mut Criterion) {
     let exec = qpp_nn::Executor::global();
     for t in THREADS {
         group.bench_function(BenchmarkId::new(format!("resident_pool_t{t}"), 0usize), |b| {
-            b.iter(|| exec.run(t, &|_, _| {}))
+            b.iter(|| exec.run(t, &|_| {}))
         });
     }
     for t in THREADS {

@@ -25,22 +25,24 @@
 //! (`tests/infer_differential.rs`) holds the two engines to within `1e-5`
 //! relative on every plan, clamped and unclamped.
 //!
-//! ## Multicore execution
+//! ## Multicore execution: plan lanes
 //!
-//! Wavefront rows are embarrassingly parallel: the steps of one height
-//! level read only rows written at strictly lower heights and write
-//! disjoint row ranges of the shared output buffer, so
-//! [`PlanProgram::run_parallel`] distributes each level's cache-sized
-//! 32-row steps across the **resident executor** ([`qpp_nn::Executor`]) —
-//! a process-wide pool of parked worker threads created once and reused
-//! across runs. Every resident worker owns its own persistent
-//! [`qpp_nn::BufferPool`] and gather scratch, so the hot path stays
-//! lock-free and allocation-free in steady state, and a level barrier is
-//! the only synchronization. Results are
-//! **bit-identical at any thread count** (see `DESIGN.md` §7 for the
-//! determinism contract): the partition grain is the compile-time step, so
-//! every node is computed by the same kernel on the same input rows no
-//! matter which worker runs it. Compile once, then serve:
+//! A program is cut into **lanes**, one per thread: contiguous ranges of
+//! its plans, balanced by node count, each compiled as its own one-thread
+//! wavefront program with its own steps, levels, output rows and
+//! [`qpp_nn::BufferPool`]. Plans never share rows, so lanes are
+//! independent: a run is one dispatch on the **resident executor**
+//! ([`qpp_nn::Executor`], a process-wide pool of parked worker threads
+//! created once and reused across runs) in which each worker sweeps one
+//! lane sequentially, with no barrier between levels. Workers reach their
+//! lanes through uncontended locks and share the packed panels read-only,
+//! so the engine carries no `unsafe`. Results are **bit-identical at any
+//! thread count** (see `DESIGN.md` §7 for the determinism contract): the
+//! partition grain is the plan, and the packed kernels are row-invariant,
+//! so every node is computed by the same kernel on the same input row no
+//! matter which lane holds it. [`PlanProgram::compile`] lays a program
+//! out as one lane; a run at another thread count lays it out again from
+//! the features it already holds. Compile once, then serve:
 //!
 //! ```
 //! use qppnet::{QppConfig, QppNet};
@@ -63,6 +65,7 @@ use crate::config::TargetCodec;
 use crate::tree::RatioCaps;
 use crate::unit::{PackedUnits, UnitSet};
 use qpp_nn::{BufferPool, Executor, Matrix};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use qpp_plansim::features::{Featurizer, Whitener};
 use qpp_plansim::operators::OpKind;
 use qpp_plansim::plan::{Plan, PlanNode};
@@ -75,10 +78,10 @@ pub enum InferEngine {
     /// training-time data layout; §5.1.1 batching only).
     Classes,
     /// Compiled wavefront [`PlanProgram`] evaluation (the serving layout),
-    /// executed on `threads` worker threads (`1` = the sequential path;
+    /// executed as `threads` plan lanes (`1` = the sequential path;
     /// results are bit-identical at any thread count).
     Program {
-        /// Worker threads for [`PlanProgram::run_parallel`].
+        /// Lanes (worker threads) for [`PlanProgram::run_parallel`].
         threads: usize,
     },
 }
@@ -217,35 +220,49 @@ impl WavefrontBuilder {
         draft.feat_data.extend_from_slice(feat);
     }
 
+    /// Asserts that every wavefront's input width (features, then
+    /// `arity` child outputs) equals its unit's input dimension.
+    ///
+    /// # Panics
+    /// Panics on a featurizer/model shape mismatch.
+    pub(crate) fn check_units(&self, units: &UnitSet) {
+        for draft in self.drafts.values() {
+            assert_eq!(
+                draft.feat_width + draft.kind.arity() * units.out_size(),
+                units.unit(draft.kind).in_dim(),
+                "feature/model shape mismatch for {:?}",
+                draft.kind
+            );
+        }
+    }
+
     /// Chunks the accumulated drafts into [`Step`]s plus the height-level
-    /// schedule. Step input matrices come from `alloc` (pass
-    /// `Matrix::zeros` for fresh programs, a pool-backed closure to
-    /// recycle a retired program's buffers); only the feature prefix of
-    /// each row is written — child columns are overwritten by the gather
-    /// on every run.
+    /// schedule, for units of output width `out_w` (callers validate the
+    /// shapes with [`WavefrontBuilder::check_units`] first). Step input
+    /// matrices come from `alloc` (a pool-backed closure, which recycles
+    /// buffers when the pool holds some); only the feature prefix of each
+    /// row is written — child columns are overwritten by the gather on
+    /// every run.
     ///
     /// Oversized wavefronts are split into `chunk_rows`-row chunks;
     /// chunking changes nothing semantically (each output row of `X·W`
     /// depends only on its own input row), so the size is purely a
     /// throughput/parallelism knob: the serving engine passes the
     /// cache-sized [`STEP_CHUNK_ROWS`] (one chunk's input, output and the
-    /// unit's weights stay cache-resident, and chunks are the parallel
-    /// partition grain), the training tape a larger
+    /// unit's weights stay cache-resident), the training tape a larger
     /// [`crate::train_program::TRAIN_CHUNK_ROWS`] (three gemms per layer
     /// per step make per-call overhead — gathers, pool traffic, loop
     /// prologues — worth amortizing over more rows).
     ///
     /// # Panics
-    /// Panics if a wavefront's input width disagrees with its unit's input
-    /// dimension (a featurizer/model mismatch), or if `chunk_rows` is 0.
+    /// Panics if `chunk_rows` is 0.
     pub(crate) fn finish(
         self,
-        units: &UnitSet,
+        out_w: usize,
         chunk_rows: usize,
         alloc: &mut dyn FnMut(usize, usize) -> Matrix,
     ) -> (Vec<Step>, Vec<Vec<u32>>) {
         assert!(chunk_rows > 0, "chunk_rows must be positive");
-        let out_w = units.out_size();
         let mut steps = Vec::new();
         let mut levels: Vec<Vec<u32>> = Vec::new();
         let mut cur_height = usize::MAX;
@@ -257,12 +274,6 @@ impl WavefrontBuilder {
             let arity = draft.kind.arity();
             let feat_width = draft.feat_width;
             let in_dim = feat_width + arity * out_w;
-            assert_eq!(
-                in_dim,
-                units.unit(draft.kind).in_dim(),
-                "feature/model shape mismatch for {:?}",
-                draft.kind
-            );
             for (c, rows) in draft.rows.chunks(chunk_rows).enumerate() {
                 let members = rows.len();
                 let base = c * chunk_rows;
@@ -287,11 +298,12 @@ impl WavefrontBuilder {
     }
 }
 
-/// Per-plan bookkeeping for reading results back out of the flat output
-/// buffer (and for the clamped envelope walk).
+/// Per-plan bookkeeping for reading results back out of its lane's
+/// output buffer, for the clamped envelope walk, and for laying the
+/// program out again.
 struct PlanSlot {
-    /// First global output row of this plan; post-order position `k` lives
-    /// at row `base + k` and the root at `base + len - 1`.
+    /// First output row of this plan in its lane; post-order position `k`
+    /// lives at row `base + k` and the root at `base + len - 1`.
     base: usize,
     /// Number of positions (nodes) in the plan.
     len: usize,
@@ -301,25 +313,80 @@ struct PlanSlot {
     kinds: Vec<OpKind>,
 }
 
+/// One lane of a [`PlanProgram`]: a contiguous range of its plans
+/// compiled as a one-thread wavefront program. Row indices (`outputs`,
+/// the steps' member and child rows) are lane-local.
+struct Lane {
+    steps: Vec<Step>,
+    /// Step ids grouped into one height level each, ascending: all steps
+    /// of `levels[l]` read only output rows written by levels `< l`.
+    levels: Vec<Vec<u32>>,
+    /// `lane_nodes × out_w`; row `r` holds node `r`'s `(latency ⌢ data)`.
+    outputs: Matrix,
+    pool: BufferPool,
+}
+
+impl Lane {
+    /// Compiles `plans` — the program's plans from index `first` on — into
+    /// a lane, setting each plan's lane-local `base`. `feat(plan,
+    /// position, out)` writes one node's whitened feature row into `out`.
+    /// With `units`, the wavefront shapes are checked against them (a
+    /// relayout reuses rows that were checked at compile time).
+    fn compile(
+        plans: &mut [PlanSlot],
+        first: usize,
+        out_w: usize,
+        units: Option<&UnitSet>,
+        feat: &mut dyn FnMut(usize, usize, &mut Vec<f32>),
+    ) -> Lane {
+        let mut builder = WavefrontBuilder::new();
+        let (mut rows, mut feat_row, mut kids) = (0usize, Vec::new(), Vec::new());
+        for (i, plan) in plans.iter_mut().enumerate() {
+            plan.base = rows;
+            for k in 0..plan.len {
+                feat(first + i, k, &mut feat_row);
+                kids.clear();
+                kids.extend(plan.lowering.children_of(k).iter().map(|&c| rows + c));
+                builder.push(plan.lowering.height_of(k), plan.kinds[k], rows + k, &feat_row, &kids);
+            }
+            rows += plan.len;
+        }
+        if let Some(units) = units {
+            builder.check_units(units);
+        }
+        let (steps, levels) =
+            builder.finish(out_w, STEP_CHUNK_ROWS, &mut |rows, cols| Matrix::zeros(rows, cols));
+        Lane { steps, levels, outputs: Matrix::zeros(rows, out_w), pool: BufferPool::new() }
+    }
+
+    /// Runs the lane's whole schedule on the calling thread.
+    fn run(&mut self, packed: &PackedUnits) {
+        let (out_w, pool) = (self.outputs.cols(), &mut self.pool);
+        run_levels_seq(&mut self.steps, &self.levels, packed, &mut self.outputs, pool, out_w);
+    }
+}
+
+/// Locks a lane. Poison is ignored: a panicking run is re-raised on the
+/// caller, and the next run rewrites every row it reads.
+fn lock_lane(slot: &Mutex<Lane>) -> MutexGuard<'_, Lane> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A compiled inference program over a heterogeneous batch of plans.
 ///
 /// Compile once per batch with [`PlanProgram::compile`], then run any
 /// number of times against unit sets of the same shape; all buffers are
 /// preallocated at compile time and reused across runs. Every prediction
-/// method takes a worker count ([`PlanProgram::run_parallel`]) — thread
-/// count never changes the results.
+/// method takes a thread count ([`PlanProgram::run_parallel`]), which
+/// never changes the results.
 pub struct PlanProgram {
-    steps: Vec<Step>,
-    /// Step ids grouped into one height level each, ascending: all steps
-    /// of `levels[l]` read only output rows written by levels `< l`, which
-    /// is what makes a level's steps safe to run concurrently. Id lists
-    /// (rather than ranges) so the same executors serve the incremental
-    /// engine, whose step slab is not level-contiguous.
-    levels: Vec<Vec<u32>>,
+    /// One lane per thread of the last run; the lock hands a lane to
+    /// exactly one worker per run.
+    lanes: Vec<Mutex<Lane>>,
+    /// Lane `i` holds plans `cuts[i]..cuts[i + 1]`.
+    cuts: Vec<usize>,
     plans: Vec<PlanSlot>,
-    /// `total_nodes × out_w`; row `r` holds node `r`'s `(latency ⌢ data)`.
-    outputs: Matrix,
-    pool: BufferPool,
+    num_nodes: usize,
     out_w: usize,
     /// Fingerprint of the fitted state this program was compiled against
     /// (`None` for programs compiled directly via [`PlanProgram::compile`];
@@ -336,7 +403,7 @@ pub struct PlanProgram {
     /// actually moved. Steady-state serving (same fitted weights every
     /// run) therefore packs exactly once, while the panels make every
     /// wavefront gemm stream contiguous cache-line-aligned columns at the
-    /// full SIMD tier width.
+    /// full SIMD tier width. Every lane reads the same panels.
     packed: Option<(u64, PackedUnits)>,
 }
 
@@ -344,10 +411,11 @@ impl PlanProgram {
     /// Compiles `roots` into a wavefront schedule against the fitted
     /// model's shape (`units` sizes the routing buffers; `featurizer` and
     /// `whitener` produce the same whitened features the training path
-    /// uses).
+    /// uses), laid out as one lane.
     ///
     /// # Panics
-    /// Panics if a node's feature size disagrees with its unit's input
+    /// Panics if a node's child count does not match its family's arity,
+    /// or if a node's feature size disagrees with its unit's input
     /// dimension (a featurizer/model mismatch).
     pub fn compile(
         featurizer: &Featurizer,
@@ -355,67 +423,126 @@ impl PlanProgram {
         units: &UnitSet,
         roots: &[&PlanNode],
     ) -> PlanProgram {
-        let out_w = units.out_size();
-
-        let mut builder = WavefrontBuilder::new();
-        let mut plans = Vec::with_capacity(roots.len());
-        let mut total_nodes = 0usize;
-        let mut scratch = Vec::new();
-        let mut child_scratch = Vec::new();
-
-        for root in roots {
-            let nodes = root.postorder();
-            let lowering = crate::lower::lower(root);
-            let base = total_nodes;
-            total_nodes += nodes.len();
-
-            for (k, node) in nodes.iter().enumerate() {
-                let kind = node.op.kind();
-                // Hard assert: plans can arrive from unvalidated JSON (the
-                // CLI's `predict --input`), and a wrong arity here would
-                // shift every later member's child rows. Compilation runs
-                // once per batch, so the check costs nothing that matters.
-                assert_eq!(
-                    lowering.children_of(k).len(),
-                    kind.arity(),
-                    "malformed plan: {kind:?} node with {} children (arity {})",
-                    lowering.children_of(k).len(),
-                    kind.arity()
-                );
-                whitener.features_into(featurizer, node, &mut scratch);
-                child_scratch.clear();
-                child_scratch.extend(lowering.children_of(k).iter().map(|&c| base + c));
-                builder.push(lowering.height_of(k), kind, base + k, &scratch, &child_scratch);
-            }
-
-            plans.push(PlanSlot {
-                base,
-                len: nodes.len(),
-                kinds: nodes.iter().map(|n| n.op.kind()).collect(),
-                lowering,
-            });
-        }
-
-        let (steps, levels) =
-            builder.finish(units, STEP_CHUNK_ROWS, &mut |rows, cols| Matrix::zeros(rows, cols));
-
-        PlanProgram {
-            steps,
-            levels,
-            plans,
-            outputs: Matrix::zeros(total_nodes, out_w),
-            pool: BufferPool::new(),
-            out_w,
-            fingerprint: None,
-            packed: None,
-        }
+        PlanProgram::compile_lanes(featurizer, whitener, units, roots, 1)
     }
 
-    /// The raw output buffer, for differential tests against the training
-    /// tape (which promises bit-identical forward rows).
+    /// [`PlanProgram::compile`] laid out as `lanes` lanes (fewer if the
+    /// batch has fewer plans).
+    fn compile_lanes(
+        featurizer: &Featurizer,
+        whitener: &Whitener,
+        units: &UnitSet,
+        roots: &[&PlanNode],
+        lanes: usize,
+    ) -> PlanProgram {
+        let nodes: Vec<Vec<&PlanNode>> = roots.iter().map(|root| root.postorder()).collect();
+        let plans: Vec<PlanSlot> = roots
+            .iter()
+            .zip(&nodes)
+            .map(|(root, nodes)| {
+                let lowering = crate::lower::lower(root);
+                let kinds: Vec<OpKind> = nodes.iter().map(|n| n.op.kind()).collect();
+                for (k, kind) in kinds.iter().enumerate() {
+                    // Hard assert: plans can arrive from unvalidated JSON
+                    // (the CLI's `predict --input`), and a wrong arity
+                    // would shift every later member's child rows.
+                    // Compilation runs once per batch, so the check costs
+                    // nothing that matters.
+                    assert_eq!(
+                        lowering.children_of(k).len(),
+                        kind.arity(),
+                        "malformed plan: {kind:?} node with {} children (arity {})",
+                        lowering.children_of(k).len(),
+                        kind.arity()
+                    );
+                }
+                PlanSlot { base: 0, len: nodes.len(), lowering, kinds }
+            })
+            .collect();
+        let mut program = PlanProgram {
+            lanes: Vec::new(),
+            cuts: Vec::new(),
+            num_nodes: plans.iter().map(|p| p.len).sum(),
+            plans,
+            out_w: units.out_size(),
+            fingerprint: None,
+            packed: None,
+        };
+        program.lay_out(lanes, Some(units), &mut |p, k, out| {
+            whitener.features_into(featurizer, nodes[p][k], out)
+        });
+        program
+    }
+
+    /// (Re)compiles the plans as `lanes` node-balanced lanes, each node's
+    /// feature row written by `feat` (see [`Lane::compile`]).
+    fn lay_out(
+        &mut self,
+        lanes: usize,
+        units: Option<&UnitSet>,
+        feat: &mut dyn FnMut(usize, usize, &mut Vec<f32>),
+    ) {
+        let sizes: Vec<usize> = self.plans.iter().map(|p| p.len).collect();
+        self.cuts = balanced_cuts(&sizes, lanes);
+        self.lanes = self
+            .cuts
+            .windows(2)
+            .map(|r| {
+                let plans = &mut self.plans[r[0]..r[1]];
+                Mutex::new(Lane::compile(plans, r[0], self.out_w, units, feat))
+            })
+            .collect();
+    }
+
+    /// Lays the program out again as one lane per thread when the lane
+    /// count differs from what `threads` asks for. Feature rows are read
+    /// back out of the current lanes' step inputs, whose feature prefixes
+    /// no run overwrites.
+    fn ensure_lanes(&mut self, threads: usize) {
+        let want = threads.min(self.plans.len()).max(1);
+        if want == self.lanes.len() {
+            return;
+        }
+        let old: Vec<Lane> = std::mem::take(&mut self.lanes)
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
+        // Where each node's feature row sits in the old layout — (lane,
+        // step, member) — by plan-order row: lanes hold contiguous plan
+        // ranges, so a lane's first row follows the previous lane's last.
+        let mut at = vec![(0, 0, 0); self.num_nodes];
+        let mut first_row = 0;
+        for (l, lane) in old.iter().enumerate() {
+            for (s, step) in lane.steps.iter().enumerate() {
+                for (i, &r) in step.rows.iter().enumerate() {
+                    at[first_row + r] = (l, s, i);
+                }
+            }
+            first_row += lane.outputs.rows();
+        }
+        let starts: Vec<usize> = self
+            .plans
+            .iter()
+            .scan(0, |row, p| {
+                *row += p.len;
+                Some(*row - p.len)
+            })
+            .collect();
+        self.lay_out(want, None, &mut |p, k, out| {
+            let (l, s, i) = at[starts[p] + k];
+            let step = &old[l].steps[s];
+            out.clear();
+            out.extend_from_slice(&step.input.row(i)[..step.feat_width]);
+        });
+    }
+
+    /// The raw output rows of a one-lane program, for differential tests
+    /// against the training tape (which promises bit-identical forward
+    /// rows).
     #[cfg(test)]
-    pub(crate) fn outputs_for_tests(&self) -> &Matrix {
-        &self.outputs
+    pub(crate) fn outputs_for_tests(&mut self) -> &Matrix {
+        assert_eq!(self.lanes.len(), 1, "one-lane programs only");
+        &self.lanes[0].get_mut().unwrap_or_else(PoisonError::into_inner).outputs
     }
 
     /// Stamps the fitted-state fingerprint this program was compiled
@@ -436,22 +563,14 @@ impl PlanProgram {
 
     /// Total operator nodes across all plans.
     pub fn num_nodes(&self) -> usize {
-        self.outputs.rows()
+        self.num_nodes
     }
 
-    /// Number of wavefront steps — i.e. gemm calls per unit-layer — the
-    /// schedule executes. The per-class path would execute one gemm per
-    /// (equivalence class, position) instead.
+    /// Number of wavefront steps, summed over lanes — i.e. gemm calls per
+    /// unit-layer — the schedule executes. The per-class path would
+    /// execute one gemm per (equivalence class, position) instead.
     pub fn num_steps(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Number of height levels in the schedule. Steps within one level are
-    /// mutually independent — this is the parallelism axis of
-    /// [`PlanProgram::run_parallel`] (and a barrier count: one
-    /// synchronization per level).
-    pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.lanes.iter().map(|slot| lock_lane(slot).steps.len()).sum()
     }
 
     fn check_units_width(&self, units: &UnitSet) {
@@ -464,38 +583,31 @@ impl PlanProgram {
         );
     }
 
-    /// Executes the schedule bottom-up across `threads` worker threads,
-    /// filling the output buffer read by the `predict_*` methods.
+    /// Executes the program as one plan lane per thread, filling the
+    /// output rows read by the `predict_*` methods.
     ///
-    /// Each height level's steps (already split into cache-sized 32-row
-    /// chunks at compile time — that chunking is the partition grain) are
-    /// dealt round-robin across the process-wide resident worker pool
-    /// ([`qpp_nn::Executor::global`] — parked threads created once, not
-    /// spawned per run); a barrier separates levels. Workers are lock-free
-    /// on the hot path: every step writes a disjoint set of output rows
-    /// and reads only rows written at strictly lower levels, and each
-    /// resident worker gathers into scratch taken from its own persistent
-    /// executor-owned [`BufferPool`], so steady-state parallel serving
-    /// performs zero allocation per worker.
+    /// The program is first laid out again if its lane count differs from
+    /// `threads` (capped at the plan count). One lane runs on the calling
+    /// thread; more run as one dispatch on the process-wide resident
+    /// worker pool ([`qpp_nn::Executor::global`] — parked threads created
+    /// once, not spawned per run), each worker sweeping one lane's levels
+    /// sequentially with no barrier. Each lane owns its buffers, so
+    /// steady-state parallel serving allocates nothing, and a worker's
+    /// panic is re-raised on the caller.
     ///
     /// **Determinism:** results are bit-identical for every `threads`
-    /// value (the differential suite asserts exact equality at 1/2/4/8) —
-    /// each node is computed by the same fused kernel on the same input
-    /// rows regardless of which worker runs its step; only the assignment
-    /// of steps to workers changes. See `DESIGN.md` §7 and §10.
-    ///
-    /// The effective thread count is capped at the widest level's step
-    /// count, so small programs (or programs whose wavefronts all fit one
-    /// 32-row chunk) fall back to the sequential path instead of paying
-    /// dispatch and barrier overhead for no available parallelism.
+    /// value (the differential suite asserts exact equality) — each node
+    /// is computed by the same row-invariant kernel on the same input row
+    /// whichever lane holds it. See `DESIGN.md` §7.
     pub fn run_parallel(&mut self, units: &UnitSet, threads: usize) {
         self.run_on(units, Executor::global(), threads);
     }
 
     /// [`PlanProgram::run_parallel`] against an explicit executor — the
-    /// seam the tests use to observe a private pool's steady state.
+    /// seam the tests use to observe a private executor's dispatches.
     pub(crate) fn run_on(&mut self, units: &UnitSet, exec: &Executor, threads: usize) {
         self.check_units_width(units);
+        self.ensure_lanes(threads);
         // Refresh the packed panels only when the caller's weights differ
         // from the panels' source (see the `packed` field doc).
         // Serving-only programs never need the transposed backward panels.
@@ -508,20 +620,25 @@ impl PlanProgram {
             }
             None => self.packed = Some((digest, PackedUnits::pack(units))),
         }
-        run_schedule(
-            &mut self.steps,
-            &self.levels,
-            &self.packed.as_ref().expect("packed above").1,
-            &mut self.outputs,
-            &mut self.pool,
-            exec,
-            self.out_w,
-            threads,
-        );
+        let packed = &self.packed.as_ref().expect("packed above").1;
+        match self.lanes.as_mut_slice() {
+            [lane] => lane.get_mut().unwrap_or_else(PoisonError::into_inner).run(packed),
+            lanes => exec.run(lanes.len(), &|w| lock_lane(&lanes[w]).run(packed)),
+        }
+    }
+
+    /// Maps every plan, in compile order, with its lane's output rows.
+    fn each_plan<T>(&mut self, mut f: impl FnMut(&PlanSlot, &Matrix) -> T) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.plans.len());
+        for (slot, r) in self.lanes.iter_mut().zip(self.cuts.windows(2)) {
+            let outputs = &slot.get_mut().unwrap_or_else(PoisonError::into_inner).outputs;
+            out.extend(self.plans[r[0]..r[1]].iter().map(|p| f(p, outputs)));
+        }
+        out
     }
 
     /// Decoded root-latency predictions (milliseconds), one per plan, in
-    /// the order the plans were compiled, run on `threads` workers (see
+    /// the order the plans were compiled, run on `threads` lanes (see
     /// [`PlanProgram::run_parallel`]; results are identical at any thread
     /// count). With `caps`, each root is the last entry of its plan's
     /// envelope-projected [`PlanProgram::predict_all_threaded`] row.
@@ -543,13 +660,13 @@ impl PlanProgram {
         self.decode_roots(codec)
     }
 
-    fn decode_roots(&self, codec: &TargetCodec) -> Vec<f64> {
-        self.plans.iter().map(|p| codec.decode(self.outputs.get(p.base + p.len - 1, 0))).collect()
+    fn decode_roots(&mut self, codec: &TargetCodec) -> Vec<f64> {
+        self.each_plan(|p, outputs| codec.decode(outputs.get(p.base + p.len - 1, 0)))
     }
 
     /// Decoded latency predictions for every position of every plan
     /// (`result[plan][position]`, post order, milliseconds), run on
-    /// `threads` workers. With `caps`, each plan is projected onto the
+    /// `threads` lanes. With `caps`, each plan is projected onto the
     /// structural envelope of inclusive latencies — the same monotonicity
     /// and bounded-amplification fold as
     /// [`crate::tree::TreeBatch::predict_all_clamped`], run on the calling
@@ -566,27 +683,42 @@ impl PlanProgram {
         threads: usize,
     ) -> Vec<Vec<f64>> {
         self.run_parallel(units, threads);
-        self.plans
-            .iter()
-            .map(|p| {
-                let mut preds: Vec<f64> = (p.base..p.base + p.len)
-                    .map(|r| codec.decode(self.outputs.get(r, 0)))
-                    .collect();
-                if let Some(caps) = caps {
-                    clamp_plan_envelope(&mut preds, &p.lowering, &p.kinds, caps);
-                }
-                preds
-            })
-            .collect()
+        self.each_plan(|p, outputs| {
+            let mut preds: Vec<f64> =
+                (p.base..p.base + p.len).map(|r| codec.decode(outputs.get(r, 0))).collect();
+            if let Some(caps) = caps {
+                clamp_plan_envelope(&mut preds, &p.lowering, &p.kinds, caps);
+            }
+            preds
+        })
     }
 }
 
-/// The widest level's step count — the effective parallelism bound of a
-/// wavefront schedule (the executors cap worker counts here so schedules
-/// with no available parallelism fall back to the sequential path).
-pub(crate) fn max_level_width(levels: &[Vec<u32>]) -> usize {
-    levels.iter().map(|l| l.len()).max().unwrap_or(0)
+/// Cuts items of the given `weights` into at most `parts` contiguous,
+/// non-empty ranges of roughly equal total weight, returning the range
+/// boundaries (`0` first, `weights.len()` last). An item joins the range
+/// in which at least half of its weight falls. Plans are cut into lanes
+/// by node count, layers into fold shares by parameter count.
+pub(crate) fn balanced_cuts(weights: &[usize], parts: usize) -> Vec<usize> {
+    let n = parts.min(weights.len()).max(1);
+    let total: usize = weights.iter().sum();
+    let mut cuts = Vec::with_capacity(n + 1);
+    cuts.push(0);
+    let (mut end, mut before) = (0usize, 0usize);
+    for i in 1..n {
+        // Leave at least one item for each range still to come.
+        let (min_end, max_end) = (cuts[i - 1] + 1, weights.len() - (n - i));
+        let target = total * i / n;
+        while end < max_end && (end < min_end || before + weights[end] / 2 < target) {
+            before += weights[end];
+            end += 1;
+        }
+        cuts.push(end);
+    }
+    cuts.push(weights.len());
+    cuts
 }
+
 
 /// Folds the structural envelope over one plan's decoded per-position
 /// latencies, in place — the same monotonicity + bounded-amplification
@@ -614,31 +746,28 @@ pub(crate) fn clamp_plan_envelope(
 /// Copies each member's child output rows into the child column blocks of
 /// `dst` (`dst[i, feat_width + j·out_w ..]` ← row `child_rows[i·arity + j]`
 /// of the source). This is **the** row-routing loop every engine leans on
-/// — the sequential and parallel serving executors and the training
-/// tape's forward share it, so the `(feat prefix ⌢ child₁ ⌢ … ⌢ childₖ)`
-/// input layout (and the bit-identity contracts built on it) cannot
-/// drift between copies. `row_of` abstracts the source: plain matrix rows on
-/// single-threaded paths, a [`SharedRows`] view under workers.
+/// — the serving sweep and the training tape's forward share it, so the
+/// `(feat prefix ⌢ child₁ ⌢ … ⌢ childₖ)` input layout (and the
+/// bit-identity contracts built on it) cannot drift between copies.
 ///
-/// `dst` is either the step's own baked input (its feature prefix is
-/// already resident) or a scratch clone of it; `dst.rows()` is the member
-/// count.
-pub(crate) fn gather_child_columns<'a>(
+/// `dst` is the step's own baked input (its feature prefix is already
+/// resident); `dst.rows()` is the member count.
+pub(crate) fn gather_child_columns(
     child_rows: &[usize],
     arity: usize,
     feat_width: usize,
     out_w: usize,
     dst: &mut Matrix,
-    row_of: impl Fn(usize) -> &'a [f32],
+    src: &Matrix,
 ) {
     if arity == 0 {
         return;
     }
     for i in 0..dst.rows() {
         for j in 0..arity {
-            let src = child_rows[i * arity + j];
+            let child = child_rows[i * arity + j];
             let start = feat_width + j * out_w;
-            dst.row_mut(i)[start..start + out_w].copy_from_slice(row_of(src));
+            dst.row_mut(i)[start..start + out_w].copy_from_slice(src.row(child));
         }
     }
 }
@@ -667,225 +796,12 @@ pub(crate) fn run_levels_seq(
                 step.feat_width,
                 out_w,
                 &mut step.input,
-                |r| outputs.row(r),
+                outputs,
             );
             let out = packed.unit(step.kind).forward_pooled(&step.input, pool);
             out.scatter_rows_into(&step.rows, outputs);
             pool.give(out);
         }
-    }
-}
-
-/// Dispatches a wavefront schedule onto the right executor — the single
-/// decision point shared by [`PlanProgram`] and the incremental builder:
-/// the thread count is capped at the widest level (no parallelism worth
-/// dispatching for → the sequential in-place path, which never touches
-/// `exec`), otherwise the levels run across `exec`'s resident worker
-/// pool, each worker using its executor-owned persistent [`BufferPool`].
-#[allow(clippy::too_many_arguments)] // two call sites; a context struct would just rename these
-pub(crate) fn run_schedule(
-    steps: &mut [Step],
-    levels: &[Vec<u32>],
-    packed: &PackedUnits,
-    outputs: &mut Matrix,
-    pool: &mut BufferPool,
-    exec: &Executor,
-    out_w: usize,
-    threads: usize,
-) {
-    let threads = threads.min(max_level_width(levels));
-    if threads <= 1 {
-        run_levels_seq(steps, levels, packed, outputs, pool, out_w);
-    } else {
-        run_levels_parallel(steps, levels, packed, outputs, exec, threads, out_w);
-    }
-}
-
-/// Executes a wavefront schedule across `threads` resident workers of
-/// `exec` (the caller participates as worker 0; callers must pass
-/// `threads >= 2` and have already handled the `threads <= 1` fallback).
-/// Each height level's steps are dealt round-robin; a barrier separates
-/// levels. See [`PlanProgram::run_parallel`] for the determinism and
-/// poisoning contracts.
-pub(crate) fn run_levels_parallel(
-    steps: &[Step],
-    levels: &[Vec<u32>],
-    packed: &PackedUnits,
-    outputs: &mut Matrix,
-    exec: &Executor,
-    threads: usize,
-    out_w: usize,
-) {
-    let outputs = SharedRows::new(outputs);
-    run_levels_parallel_with(exec, levels, threads, &|pool, id| {
-        let step = &steps[id as usize];
-        let out = if step.arity == 0 {
-            // Leaves: the baked feature matrix IS the full input.
-            packed.unit(step.kind).forward_pooled(&step.input, pool)
-        } else {
-            // Unlike the sequential path — which gathers child rows into
-            // the step's own input matrix — workers assemble each step's
-            // input in scratch taken from their private pool, so the
-            // compiled steps stay shared and immutable across threads. The
-            // gemm consumes the exact same input values either way, and
-            // scratch has the same shape as the baked input, so the kernel
-            // (and its result, bit for bit) is identical to the sequential
-            // path's.
-            let members = step.rows.len();
-            let fw = step.feat_width;
-            let mut scratch = pool.take(members, step.input.cols());
-            for i in 0..members {
-                scratch.row_mut(i)[..fw].copy_from_slice(&step.input.row(i)[..fw]);
-            }
-            // SAFETY (row reads): child rows live at strictly lower
-            // heights — fully written in an earlier level and
-            // barrier-sequenced with these reads.
-            gather_child_columns(&step.child_rows, step.arity, fw, out_w, &mut scratch, |r| {
-                unsafe { outputs.row(r) }
-            });
-            let out = packed.unit(step.kind).forward_pooled(&scratch, pool);
-            pool.give(scratch);
-            out
-        };
-        for (k, &r) in step.rows.iter().enumerate() {
-            // SAFETY: each output row belongs to exactly one step, and
-            // this worker owns this step within the current level.
-            unsafe { outputs.write_row(r, out.row(k)) };
-        }
-        pool.give(out);
-    });
-}
-
-/// The level-barrier executor behind multicore serving
-/// ([`run_levels_parallel`]). Deals each level's step ids round-robin
-/// across `threads` workers (the **caller participates as worker 0**;
-/// callers pass `threads >= 2` and handle the single-threaded fallback
-/// themselves), with one [`std::sync::Barrier`] per level, levels
-/// ascending.
-///
-/// Workers are **resident**: the pass dispatches onto `exec`'s parked
-/// worker pool ([`qpp_nn::Executor`]) instead of spawning scoped threads
-/// per run, so a run pays one condvar wake per worker instead of a ~0.2 ms
-/// thread spawn. Determinism is untouched — worker `w` still runs
-/// positions `w, w + threads, …` of every level, so which worker runs a
-/// step depends only on the level lists and the worker count, never on
-/// which OS thread hosts the worker.
-///
-/// `run_step` receives the worker's *resident* [`BufferPool`] (owned by
-/// the executor and kept warm across runs) and a step id; everything
-/// shared (steps, units, raw output views) is captured by the closure.
-/// `run_step` must not rely on *cross-step* ordering within a level.
-///
-/// A panic inside a step (e.g. a shape assert against a mismatched unit
-/// set) must not strand the other workers at the barrier: each level's
-/// work is caught, a shared poison flag is raised, the barrier is still
-/// reached, and every worker exits cleanly after the wait — resident
-/// workers go back to parking, poisoned run or not. The caught payload
-/// itself is parked in a shared slot (first panicking worker wins) and
-/// **re-raised on the calling thread after the run completes** — so the
-/// caller observes the original panic (same message as the sequential
-/// path) no matter which worker's share the failing step landed in.
-pub(crate) fn run_levels_parallel_with(
-    exec: &Executor,
-    levels: &[Vec<u32>],
-    threads: usize,
-    run_step: &(impl Fn(&mut BufferPool, u32) + Sync),
-) {
-    use std::sync::atomic::Ordering;
-    debug_assert!(threads >= 2, "parallel executor needs >= 2 workers");
-    let barrier = std::sync::Barrier::new(threads);
-    let poisoned = std::sync::atomic::AtomicBool::new(false);
-    let panic_slot: std::sync::Mutex<Option<Box<dyn std::any::Any + Send>>> =
-        std::sync::Mutex::new(None);
-
-    // One worker's whole pass: its round-robin share of every level, in
-    // schedule order, poison-checked at each barrier.
-    exec.run(threads, &|worker, pool| {
-        for level in levels {
-            // AssertUnwindSafe: on panic the pool may hold un-given
-            // buffers and this level's outputs may be partially written —
-            // the same states a sequential-path panic leaves behind; the
-            // payload is re-raised on the caller after the run, so no
-            // caller observes them.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                for &id in level.iter().skip(worker).step_by(threads) {
-                    run_step(pool, id);
-                }
-            }));
-            if let Err(payload) = result {
-                poisoned.store(true, Ordering::Release);
-                // The lock guard must drop before the barrier: another
-                // worker panicking at this same level contends for the
-                // slot on its own way to the barrier.
-                panic_slot.lock().expect("panic slot lock").get_or_insert(payload);
-                barrier.wait();
-                return;
-            }
-            barrier.wait();
-            if poisoned.load(Ordering::Acquire) {
-                return;
-            }
-        }
-    });
-    if let Some(payload) = panic_slot.into_inner().expect("panic slot lock") {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// A raw-pointer view of a shared row-major matrix that lets worker
-/// threads access disjoint rows without locks.
-///
-/// Safe Rust cannot express "N threads each mutate a different subset of
-/// rows of one matrix", so this view carries the proof obligation instead:
-///
-/// * every output row belongs to exactly **one** step (compile assigns
-///   each node one global row, and a node joins one draft chunk), so two
-///   workers never write the same row within a level;
-/// * a step only **reads** rows sequenced by the inter-level barrier
-///   (`Barrier::wait` is an acquire/release point): child outputs written
-///   at strictly lower heights;
-/// * the view lives only inside one executor invocation's scope, which
-///   holds the `&mut Matrix` borrow for the view's whole lifetime.
-pub(crate) struct SharedRows<'a> {
-    ptr: *mut f32,
-    rows: usize,
-    cols: usize,
-    _borrow: std::marker::PhantomData<&'a mut Matrix>,
-}
-
-/// SAFETY: see the type-level contract — all row accesses are disjoint or
-/// barrier-ordered, so handing the view to multiple threads is sound.
-unsafe impl Send for SharedRows<'_> {}
-/// SAFETY: as for [`Send`].
-unsafe impl Sync for SharedRows<'_> {}
-
-impl<'a> SharedRows<'a> {
-    pub(crate) fn new(m: &'a mut Matrix) -> SharedRows<'a> {
-        let (rows, cols) = (m.rows(), m.cols());
-        SharedRows { ptr: m.as_mut_slice().as_mut_ptr(), rows, cols, _borrow: std::marker::PhantomData }
-    }
-
-    /// Reads row `i`.
-    ///
-    /// # Safety
-    /// `i` must have been fully written in an earlier level and no thread
-    /// may be writing it concurrently.
-    #[inline]
-    pub(crate) unsafe fn row(&self, i: usize) -> &[f32] {
-        debug_assert!(i < self.rows, "row {i} out of range for {}x{} shared view", self.rows, self.cols);
-        std::slice::from_raw_parts(self.ptr.add(i * self.cols), self.cols)
-    }
-
-    /// Overwrites row `i` with `src`.
-    ///
-    /// # Safety
-    /// The caller must be the only thread accessing row `i` in the current
-    /// level (each row belongs to exactly one step).
-    #[inline]
-    pub(crate) unsafe fn write_row(&self, i: usize, src: &[f32]) {
-        debug_assert!(i < self.rows, "row {i} out of range for {}x{} shared view", self.rows, self.cols);
-        debug_assert_eq!(src.len(), self.cols, "row width mismatch in shared write");
-        std::ptr::copy_nonoverlapping(src.as_ptr(), self.ptr.add(i * self.cols), self.cols);
     }
 }
 
@@ -907,7 +823,8 @@ pub fn predict_plans_with(
         }
         InferEngine::Program { threads } => {
             let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
-            let mut program = PlanProgram::compile(featurizer, whitener, units, &roots);
+            let mut program =
+                PlanProgram::compile_lanes(featurizer, whitener, units, &roots, threads);
             program.predict_roots_threaded(units, codec, ratio_caps, threads)
         }
     }
@@ -1040,27 +957,29 @@ mod tests {
     fn levels_partition_steps_in_dependency_order() {
         let (ds, fz, wh, units, _) = setup();
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
-        let program = PlanProgram::compile(&fz, &wh, &units, &roots);
+        let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
+        let num_steps = program.num_steps();
+        let lane = program.lanes[0].get_mut().unwrap();
         // Levels tile the step list exactly, in order (compile emits step
         // ids sequentially).
-        let flat: Vec<u32> = program.levels.iter().flatten().copied().collect();
-        assert_eq!(flat, (0..program.num_steps() as u32).collect::<Vec<_>>());
-        assert!(program.levels.iter().all(|l| !l.is_empty()), "empty level");
-        assert!(program.num_levels() >= 2, "multi-operator plans need >= 2 levels");
+        let flat: Vec<u32> = lane.levels.iter().flatten().copied().collect();
+        assert_eq!(flat, (0..num_steps as u32).collect::<Vec<_>>());
+        assert!(lane.levels.iter().all(|l| !l.is_empty()), "empty level");
+        assert!(lane.levels.len() >= 2, "multi-operator plans need >= 2 levels");
         // Every child row referenced by a level's steps is produced by a
-        // step of an earlier level — the property run_parallel's safety
-        // argument rests on.
+        // step of an earlier level — the property the sequential sweep's
+        // correctness rests on.
         let mut produced_before: Vec<std::collections::HashSet<usize>> = Vec::new();
         let mut seen = std::collections::HashSet::new();
-        for level in &program.levels {
+        for level in &lane.levels {
             produced_before.push(seen.clone());
             for &id in level {
-                seen.extend(program.steps[id as usize].rows.iter().copied());
+                seen.extend(lane.steps[id as usize].rows.iter().copied());
             }
         }
-        for (l, level) in program.levels.iter().enumerate() {
+        for (l, level) in lane.levels.iter().enumerate() {
             for &id in level {
-                for &c in &program.steps[id as usize].child_rows {
+                for &c in &lane.steps[id as usize].child_rows {
                     assert!(
                         produced_before[l].contains(&c),
                         "level {l} reads row {c} not produced by an earlier level"
@@ -1098,49 +1017,75 @@ mod tests {
         }
     }
 
+    impl PlanProgram {
+        /// Matrices pooled across every lane.
+        fn pooled_buffers(&self) -> usize {
+            self.lanes.iter().map(|slot| lock_lane(slot).pool.available()).sum()
+        }
+    }
+
     #[test]
     fn parallel_workers_reach_zero_steady_state_allocation() {
         let (ds, fz, wh, units, codec) = setup();
         let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
-        // A private executor (rather than the global one) so concurrent
-        // tests cannot perturb the pooled-buffer observation.
-        let exec = Executor::new(3);
-        // Warm-up run grows every resident worker's pool to its
-        // high-water mark.
-        program.run_on(&units, &exec, 4);
+        // Warm-up run lays the program out as four lanes and grows every
+        // lane's pool to its high-water mark.
+        program.run_parallel(&units, 4);
         let first = program.decode_roots(&codec);
-        let pooled = exec.pooled_buffers();
-        assert!(pooled > 0, "workers must pool buffers");
+        let pooled = program.pooled_buffers();
+        assert!(pooled > 0, "lanes must pool buffers");
         // Steady state: repeated runs neither grow nor leak any pool, and
         // reuse is exact (every take is matched by a give).
         for _ in 0..3 {
-            program.run_on(&units, &exec, 4);
+            program.run_parallel(&units, 4);
             assert_eq!(program.decode_roots(&codec), first, "stale routing between parallel runs");
-            assert_eq!(exec.pooled_buffers(), pooled, "worker pools changed in steady state");
+            assert_eq!(program.pooled_buffers(), pooled, "lane pools changed in steady state");
+        }
+    }
+
+    #[test]
+    fn relayouts_keep_bits_and_lane_pools_stop_growing() {
+        let (ds, fz, wh, units, codec) = setup();
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
+        let base_roots = program.predict_roots_threaded(&units, &codec, None, 1);
+        let base_all = program.predict_all_threaded(&units, &codec, None, 1);
+        let mut pooled = Vec::new();
+        for cycle in 0..3 {
+            for (i, threads) in [4, 1, 2].into_iter().enumerate() {
+                let roots = program.predict_roots_threaded(&units, &codec, None, threads);
+                assert_eq!(roots, base_roots, "cycle {cycle}, {threads} threads: roots differ");
+                let all = program.predict_all_threaded(&units, &codec, None, threads);
+                assert_eq!(all, base_all, "cycle {cycle}, {threads} threads: per-operator differ");
+                assert_eq!(program.lanes.len(), threads);
+                if cycle == 0 {
+                    pooled.push(program.pooled_buffers());
+                } else {
+                    assert_eq!(
+                        program.pooled_buffers(),
+                        pooled[i],
+                        "cycle {cycle}, {threads} threads: lane pools grew across relayouts"
+                    );
+                }
+            }
         }
     }
 
     #[test]
     fn oversubscribed_threads_fall_back_cleanly() {
         let (ds, fz, wh, units, codec) = setup();
-        // A plan whose levels are all single steps (e.g. a linear chain):
-        // any thread count degrades to the sequential path (no dispatch,
-        // no barrier, no resident workers woken).
-        let mut program = ds
-            .plans
-            .iter()
-            .map(|p| PlanProgram::compile(&fz, &wh, &units, &[&p.root]))
-            .find(|prog| prog.levels.iter().all(|l| l.len() == 1))
-            .expect("some plan compiles to single-step levels");
+        // A one-plan program is one lane at any thread count: it runs on
+        // the caller and never dispatches to the executor.
+        let mut program = PlanProgram::compile(&fz, &wh, &units, &[&ds.plans[0].root]);
         let one = program.predict_roots_threaded(&units, &codec, None, 1);
         let exec = Executor::new(0);
         program.run_on(&units, &exec, 8);
         let many = program.decode_roots(&codec);
         assert_eq!(one, many);
         let stats = exec.stats();
-        assert_eq!(stats.runs, 0, "fallback must not dispatch to the executor");
-        assert_eq!(stats.resident_workers, 0, "fallback must not spawn resident workers");
+        assert_eq!(stats.runs, 0, "a one-lane run must not dispatch to the executor");
+        assert_eq!(stats.resident_workers, 0, "a one-lane run must not spawn resident workers");
     }
 
     #[test]
@@ -1151,46 +1096,14 @@ mod tests {
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
         // A unit set with the same output width (so the cheap width check
         // passes) but different per-family input dims: the shape assert
-        // fires *inside worker threads*. The poison protocol must convert
-        // that into this panic on the caller, not a barrier deadlock.
+        // fires *inside worker threads*. The executor must re-raise it on
+        // the caller, not strand the run.
         let other = Dataset::generate(Workload::TpcDs, 1.0, 8, 3);
         let fz2 = Featurizer::new(&other.catalog);
         let mut rng = rand::rngs::StdRng::seed_from_u64(9);
         let units2 = UnitSet::new(&QppConfig::tiny(), &fz2, &mut rng);
         assert_eq!(units2.out_size(), units.out_size(), "width check must pass");
         let _ = program.predict_roots_threaded(&units2, &codec, None, 4);
-    }
-
-    /// The executor's panic contract: a panic whose step lands only in a
-    /// *resident* worker's round-robin share (never the caller's) must
-    /// still reach the caller with its original payload — and must leave
-    /// the parked pool serviceable for the next run.
-    #[test]
-    fn worker_only_panic_preserves_its_payload() {
-        // Two workers, one level of two steps: the caller (worker 0)
-        // takes id 0, the resident worker takes id 1 — which panics.
-        let exec = Executor::new(1);
-        let levels = vec![vec![0u32, 1u32]];
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            run_levels_parallel_with(&exec, &levels, 2, &|_pool, id| {
-                if id == 1 {
-                    panic!("step {id} exploded with a diagnostic message");
-                }
-            });
-        }));
-        let payload = result.expect_err("the worker panic must propagate");
-        let msg = payload.downcast_ref::<String>().expect("panic carries its message");
-        assert!(
-            msg.contains("step 1 exploded with a diagnostic message"),
-            "caller observed `{msg}` instead of the original payload"
-        );
-        // The poisoned run must not kill the resident worker: the same
-        // pool serves the next run.
-        let hits = std::sync::atomic::AtomicUsize::new(0);
-        run_levels_parallel_with(&exec, &levels, 2, &|_pool, _id| {
-            hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(std::sync::atomic::Ordering::Relaxed), 2, "pool dead after poison");
     }
 
     #[test]

@@ -32,8 +32,8 @@
 //! `(height-from-leaf, operator family)` — one gemm per family per
 //! wavefront across every plan, with child outputs routed by row
 //! gather/scatter through preallocated buffers. On multicore hosts the
-//! compiled schedule runs across a worker-thread pool
-//! ([`infer::PlanProgram::run_parallel`],
+//! compiled program is cut into one plan lane per thread and the lanes
+//! run on a resident worker pool ([`infer::PlanProgram::run_parallel`],
 //! [`QppNet::predict_compiled_with`]) with bit-identical results at any
 //! thread count. [`QppNet::predict_batch`] uses the wavefront engine by
 //! default; the per-class path remains available as

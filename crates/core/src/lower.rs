@@ -237,8 +237,7 @@ impl Lowering {
 /// parents, the root last. Heights are the wavefront key of the serving
 /// engine: a node at height `h` only consumes outputs of nodes at heights
 /// `< h`, so evaluating heights in ascending order satisfies every data
-/// dependency regardless of tree shape — and heights also bound the
-/// parallel engine's level barriers (`DESIGN.md` §7).
+/// dependency regardless of tree shape.
 ///
 /// ```
 /// use qppnet::lower::lower;

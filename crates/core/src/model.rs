@@ -224,8 +224,8 @@ impl QppNet {
     /// per-equivalence-class path ([`InferEngine::Classes`]) is kept for
     /// differential testing and benchmarking against the serving engine,
     /// and [`InferEngine::Program`]`{ threads }` runs the wavefront
-    /// schedule on a worker pool (identical results at any thread count —
-    /// see `DESIGN.md` §7).
+    /// program as one plan lane per thread (identical results at any
+    /// thread count — see `DESIGN.md` §7).
     pub fn predict_batch_with(&self, plans: &[&Plan], engine: InferEngine) -> Vec<f64> {
         let f = self.fitted();
         let caps = self.config.monotone_clamp.then_some(&f.ratio_caps);
@@ -276,7 +276,7 @@ impl QppNet {
     /// by plan content and a whole-set predict runs one resident worker
     /// per shard.
     /// Predictions are bit-identical to [`QppNet::serve_stream`] at every
-    /// shard and thread count.
+    /// shard count and fan-out.
     ///
     /// # Panics
     /// Panics if the model is unfitted.
@@ -303,7 +303,7 @@ impl QppNet {
     /// [`QppNet::predict_compiled`] on `threads` worker threads
     /// ([`PlanProgram::run_parallel`]): the serving configuration for
     /// multicore hosts. Thread count never changes the predictions — only
-    /// how the wavefront steps are distributed across cores.
+    /// how the plans are cut into lanes, one per core.
     ///
     /// # Panics
     /// As [`QppNet::predict_compiled`].
@@ -366,8 +366,7 @@ impl QppNet {
 /// training work dispatches onto the *one* process-wide resident executor
 /// ([`qpp_nn::Executor::global`]), so co-hosted models (per-workload
 /// specialists, canary-vs-production fits) share the parked worker pool
-/// and its per-worker buffer arenas instead of each spawning their own
-/// threads.
+/// instead of each spawning their own threads.
 ///
 /// Registration is **idempotent by fitted identity**: registering a model
 /// whose fingerprint is already resident returns the existing stream
@@ -569,7 +568,7 @@ mod tests {
         for p in &plans {
             stream.admit(&p.root);
         }
-        let streamed = stream.predict_roots_threaded(1);
+        let streamed = stream.predict_roots();
         drop(stream);
         let mut program = model.compile_program(&plans);
         let compiled = model.predict_compiled(&mut program);

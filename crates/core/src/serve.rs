@@ -1006,8 +1006,6 @@ pub struct ServeConfig {
     /// Shards per tenant stream (see
     /// [`QppNet::serve_sharded`](crate::QppNet::serve_sharded)).
     pub shards: usize,
-    /// Worker threads per wavefront run (bits are thread-invariant).
-    pub threads: usize,
     /// Per-line byte cap for the framing layer.
     pub max_line: usize,
     /// Handler read-timeout granularity: how often a blocked handler
@@ -1017,7 +1015,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig { shards: 1, threads: 1, max_line: MAX_LINE_DEFAULT, poll_ms: 25 }
+        ServeConfig { shards: 1, max_line: MAX_LINE_DEFAULT, poll_ms: 25 }
     }
 }
 
@@ -1443,10 +1441,9 @@ impl<'m> Server<'m> {
                 format!("no resident plan with id {id}"),
             ));
         };
-        let threads = self.cfg.threads;
         let st = &mut *st;
         let stream = st.tenants.stream(fp).expect("session tenant is registered");
-        match catch_unwind(AssertUnwindSafe(|| stream.predict_root_threaded(pid, threads))) {
+        match catch_unwind(AssertUnwindSafe(|| stream.predict_root_threaded(pid, 1))) {
             Ok(latency_ms) if !latency_ms.is_finite() => non_finite(latency_ms),
             Ok(latency_ms) => {
                 st.stats.predicted += 1;

@@ -36,8 +36,8 @@
 //! # Determinism
 //!
 //! Predictions are **bit-identical** to a fresh
-//! [`crate::infer::PlanProgram::compile`] of the same resident set, at any
-//! thread count. Four facts compose into that guarantee:
+//! [`crate::infer::PlanProgram::compile`] of the same resident set, run
+//! at any thread count. Four facts compose into that guarantee:
 //!
 //! 1. the packed gemm kernel is *row-invariant* — a row's output bits
 //!    depend only on its own input, the weights and the bias, never on
@@ -60,12 +60,14 @@
 //!    its fresh members' bits unchanged, and by fact 3 its children are
 //!    fresh or recomputed earlier in the same run.
 //!
-//! The differential suite (`tests/stream_differential.rs`) holds random
-//! admit/retire/predict interleavings to exact equality against fresh
-//! compiles, on 1 and 4 threads, in debug and release.
+//! A builder runs on its caller's thread; multicore resident serving is
+//! shards ([`ShardedStream`]). The differential suite
+//! (`tests/stream_differential.rs`) holds random admit/retire/predict
+//! interleavings to exact equality against fresh compiles run on 1 and 4
+//! lanes, in debug and release.
 
 use crate::config::TargetCodec;
-use crate::infer::{clamp_plan_envelope, run_schedule, Step, STEP_CHUNK_ROWS};
+use crate::infer::{clamp_plan_envelope, run_levels_seq, Step, STEP_CHUNK_ROWS};
 use crate::lower::{Lowering, NodeContentKey, SubtreeKey};
 use qpp_plansim::util::Fnv1a;
 use crate::tree::RatioCaps;
@@ -75,6 +77,7 @@ use qpp_plansim::features::{FeatureCache, Featurizer, Whitener};
 use qpp_plansim::operators::OpKind;
 use qpp_plansim::plan::PlanNode;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::{Mutex, PoisonError};
 
 /// Handle to one resident plan of a [`ProgramBuilder`]; returned by
 /// [`ProgramBuilder::admit`] and consumed by [`ProgramBuilder::retire`]
@@ -128,7 +131,7 @@ pub struct ProgramStats {
     pub shared_rows: usize,
     /// Live wavefront chunks (gemm calls per unit layer per run).
     pub steps: usize,
-    /// Height levels (barrier count of a parallel run).
+    /// Height levels of the resident schedule.
     pub levels: usize,
     /// Distinct node shapes memoized by the feature-row cache.
     pub feat_cache_entries: usize,
@@ -376,7 +379,7 @@ impl PredictionCache {
 /// for plan in &ds.plans {
 ///     let id = stream.admit(&plan.root);
 ///     window.push_back(id);
-///     let _latency_ms = stream.predict_root_threaded(id, 1); // admission decision
+///     let _latency_ms = stream.predict_root(id); // admission decision
 ///     if window.len() > 8 {
 ///         stream.retire(window.pop_front().unwrap()); // query finished
 ///     }
@@ -683,21 +686,19 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Decoded root-latency prediction (milliseconds) for one resident
-    /// plan, run on `threads` workers (results are bit-identical at any
-    /// thread count). Only the chunks holding rows admitted since the
-    /// last run execute; when every row is already computed this is a
-    /// decode. Clamped onto the structural envelope when the builder was
-    /// created with ratio caps (i.e. the model's configured policy).
-    pub fn predict_root_threaded(&mut self, id: PlanId, threads: usize) -> f64 {
-        self.run(threads);
+    /// plan. Only the chunks holding rows admitted since the last run
+    /// execute; when every row is already computed this is a decode.
+    /// Clamped onto the structural envelope when the builder was created
+    /// with ratio caps (i.e. the model's configured policy).
+    pub fn predict_root(&mut self, id: PlanId) -> f64 {
+        self.run();
         let preds = self.decode_plan(id);
         *preds.last().expect("plans are non-empty")
     }
 
-    /// Root predictions for every resident plan, in admission order, on
-    /// `threads` workers.
-    pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
-        self.run(threads);
+    /// Root predictions for every resident plan, in admission order.
+    pub fn predict_roots(&mut self) -> Vec<f64> {
+        self.run();
         let ids: Vec<u64> = self.plans.keys().copied().collect();
         ids.into_iter()
             .map(|id| *self.decode_plan(PlanId(id)).last().expect("plans are non-empty"))
@@ -705,9 +706,9 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Per-operator latency predictions (post order, milliseconds) for
-    /// one resident plan, on `threads` workers.
-    pub fn predict_all_threaded(&mut self, id: PlanId, threads: usize) -> Vec<f64> {
-        self.run(threads);
+    /// one resident plan.
+    pub fn predict_all(&mut self, id: PlanId) -> Vec<f64> {
+        self.run();
         self.decode_plan(id)
     }
 
@@ -735,7 +736,7 @@ impl<'m> ProgramBuilder<'m> {
         let id = self.admit_plan(plan);
         let featurize_ns = t0.elapsed().as_nanos() as u64;
         let t1 = std::time::Instant::now();
-        let latency_ms = self.predict_root_threaded(id, 1);
+        let latency_ms = self.predict_root(id);
         self.retire(id);
         let run_ns = t1.elapsed().as_nanos() as u64;
         // `key_scratch` still holds this plan's key from the missed probe
@@ -749,13 +750,13 @@ impl<'m> ProgramBuilder<'m> {
     /// memo, running the stale chunks and seeding the memo only on a
     /// miss. A hit leaves the new rows stale for the next run that needs
     /// them (module docs, fact 4); the bits equal `admit` →
-    /// `predict_root_threaded` either way.
+    /// `predict_root` either way.
     fn admit_predict(&mut self, plan: &ScratchPlan) -> (PlanId, f64) {
         let id = self.admit_plan(plan);
         if let Some(latency_ms) = self.cache_probe(plan) {
             return (id, latency_ms);
         }
-        let latency_ms = self.predict_root_threaded(id, 1);
+        let latency_ms = self.predict_root(id);
         // The run never touches `key_scratch`, so it still holds this
         // plan's key from the missed probe.
         self.pred_cache.insert(&self.key_scratch, latency_ms);
@@ -803,13 +804,12 @@ impl<'m> ProgramBuilder<'m> {
         self.stale.contains(&true)
     }
 
-    /// Executes the stale chunks of the resident program (rebuilding the
-    /// level schedule if admissions/retirements dirtied it), leaving
-    /// every live output row fresh for decoding. Fresh chunks are skipped
-    /// — their rows are still what a full run would write (module docs,
-    /// fact 4) — and a program with nothing stale never reaches the
-    /// executor.
-    fn run(&mut self, threads: usize) {
+    /// Executes the stale chunks of the resident program on the calling
+    /// thread (rebuilding the level schedule if admissions/retirements
+    /// dirtied it), leaving every live output row fresh for decoding.
+    /// Fresh chunks are skipped — their rows are still what a full run
+    /// would write (module docs, fact 4).
+    fn run(&mut self) {
         if !self.has_stale() {
             return;
         }
@@ -820,15 +820,13 @@ impl<'m> ProgramBuilder<'m> {
             .map(|level| level.iter().copied().filter(|&s| self.stale[s as usize]).collect())
             .filter(|level: &Vec<u32>| !level.is_empty())
             .collect();
-        run_schedule(
+        run_levels_seq(
             &mut self.steps,
             &todo,
             &self.packed,
             &mut self.outputs,
             &mut self.pool,
-            Executor::global(),
             self.out_w,
-            threads,
         );
         // Cleared only now: a run that panicked above leaves its chunks
         // stale, so the next predict recomputes rather than decoding
@@ -1188,13 +1186,15 @@ pub struct OneshotRun {
 /// plan to a shard by [content hash](NodeContentKey), so admissions to
 /// different shards touch disjoint state, and a whole-set prediction
 /// runs the stale shards concurrently, one resident [`Executor`] worker
-/// per shard ([`ShardedStream::predict_roots_threaded`]).
+/// per shard ([`ShardedStream::predict_roots_threaded`]). This is the
+/// builder's only multicore mode: a one-shot plan (tens of nodes) has
+/// nothing worth splitting across threads.
 ///
 /// # Determinism
 ///
 /// Per-plan predictions are **bit-identical** to admitting the same plans
 /// into a single [`ProgramBuilder`] (and to a fresh
-/// [`crate::infer::PlanProgram::compile`]) at every thread and shard
+/// [`crate::infer::PlanProgram::compile`]) at every fan-out and shard
 /// count. Each shard is a complete, self-contained wavefront program, and
 /// its schedule executes *sequentially* on whichever worker it is dealt
 /// to — parallelism is across shards, never within one — so the per-shard
@@ -1202,7 +1202,7 @@ pub struct OneshotRun {
 /// single-builder bits by the row-invariance + lossless-cache argument in
 /// the [module docs](self). `tests/executor_differential.rs` holds random
 /// admit/retire/predict interleavings across shards to exact equality
-/// against a single builder at 1/2/4/8 threads.
+/// against a single builder at 1/2/4/8 fan-out.
 ///
 /// Obtain one from [`crate::QppNet::serve_sharded`]; the stream carries
 /// the model's fingerprint so a multi-model registry
@@ -1330,11 +1330,12 @@ impl<'m> ShardedStream<'m> {
     }
 
     /// Root-latency prediction for one resident plan; only its owning
-    /// shard runs (on `threads` workers *within* the shard — identical
-    /// bits at any count).
-    pub fn predict_root_threaded(&mut self, id: PlanId, threads: usize) -> f64 {
+    /// shard runs, on the calling thread ([`ProgramBuilder::predict_root`]).
+    /// The thread count is unused: it stays in the signature only for
+    /// existing callers.
+    pub fn predict_root_threaded(&mut self, id: PlanId, _threads: usize) -> f64 {
         let &(shard, inner) = self.route(id);
-        self.shards[shard].predict_root_threaded(inner, threads)
+        self.shards[shard].predict_root(inner)
     }
 
     /// One-shot root prediction of a non-resident plan (see
@@ -1359,12 +1360,12 @@ impl<'m> ShardedStream<'m> {
     /// resident plan, from its owning shard.
     pub fn predict_all(&mut self, id: PlanId) -> Vec<f64> {
         let &(shard, inner) = self.route(id);
-        self.shards[shard].predict_all_threaded(inner, 1)
+        self.shards[shard].predict_all(inner)
     }
 
     /// Root predictions for every resident plan (admission order), with
-    /// the non-empty shards running **concurrently** — one resident
-    /// worker per shard, each shard's schedule sequential, so the bits
+    /// the stale shards running **concurrently** across up to `threads`
+    /// resident workers, each shard's schedule sequential, so the bits
     /// match single-builder execution exactly (see the type docs).
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
         self.run_shards(threads);
@@ -1418,31 +1419,26 @@ impl<'m> ShardedStream<'m> {
     /// Runs the shards that have stale chunks, concurrently when
     /// `threads > 1`: worker `w` executes the `w`-th, `(w + threads)`-th,
     /// … of them — each shard sequentially on that worker's thread, so
-    /// per-shard output bits are thread-count-invariant.
+    /// per-shard output bits are thread-count-invariant. Each shard is
+    /// handed out through its own uncontended lock.
     fn run_shards(&mut self, threads: usize) {
-        let todo: Vec<usize> =
-            (0..self.shards.len()).filter(|&s| self.shards[s].has_stale()).collect();
-        if todo.is_empty() {
-            return;
-        }
-        let threads = threads.clamp(1, todo.len());
-        if threads <= 1 {
-            for &s in &todo {
-                self.shards[s].run(1);
+        let mut todo: Vec<&mut ProgramBuilder<'m>> =
+            self.shards.iter_mut().filter(|s| s.has_stale()).collect();
+        match threads.max(1).min(todo.len()) {
+            0 => {}
+            1 => todo.iter_mut().for_each(|shard| shard.run()),
+            threads => {
+                let todo: Vec<Mutex<&mut ProgramBuilder<'m>>> =
+                    todo.into_iter().map(Mutex::new).collect();
+                // Poison is ignored: a panicking run is re-raised on the
+                // caller and leaves its chunks stale for the next run.
+                Executor::global().run(threads, &|worker| {
+                    for shard in todo.iter().skip(worker).step_by(threads) {
+                        shard.lock().unwrap_or_else(PoisonError::into_inner).run();
+                    }
+                });
             }
-            return;
         }
-        let shards_addr = self.shards.as_mut_ptr() as usize;
-        Executor::global().run(threads, &move |worker, _pool| {
-            for &s in todo.iter().skip(worker).step_by(threads) {
-                // SAFETY: `todo` holds distinct indices and the
-                // round-robin deal hands each to exactly one worker, so
-                // the `&mut` borrows are disjoint; `run` blocks until
-                // every worker finishes before this frame returns.
-                let shard = unsafe { &mut *(shards_addr as *mut ProgramBuilder<'m>).add(s) };
-                shard.run(1);
-            }
-        });
     }
 }
 
@@ -1505,7 +1501,7 @@ mod tests {
         for plan in ds.plans.iter().take(12) {
             builder.admit(&plan.root);
             resident.push(plan);
-            let incremental = builder.predict_roots_threaded(1);
+            let incremental = builder.predict_roots();
             let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &resident);
             assert_eq!(bits(&incremental), bits(&fresh), "after admitting {}", resident.len());
         }
@@ -1522,7 +1518,7 @@ mod tests {
             builder.retire(*id);
         }
         let survivors: Vec<&Plan> = ds.plans.iter().take(10).skip(1).step_by(2).collect();
-        let incremental = builder.predict_roots_threaded(1);
+        let incremental = builder.predict_roots();
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &survivors);
         assert_eq!(bits(&incremental), bits(&fresh));
         assert_eq!(builder.len(), survivors.len());
@@ -1531,7 +1527,7 @@ mod tests {
         let mut with_new: Vec<&Plan> = survivors.clone();
         with_new.push(&ds.plans[0]);
         assert_eq!(
-            bits(&builder.predict_roots_threaded(1)),
+            bits(&builder.predict_roots()),
             bits(&fresh_compile_roots(&fz, &wh, &units, &codec, &with_new))
         );
     }
@@ -1546,14 +1542,14 @@ mod tests {
         let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
         let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
         let fresh = program.predict_roots_threaded(&units, &codec, Some(&caps), 1);
-        assert_eq!(bits(&builder.predict_roots_threaded(1)), bits(&fresh));
+        assert_eq!(bits(&builder.predict_roots()), bits(&fresh));
         // Per-plan predictors agree with the batch view.
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(builder.predict_root_threaded(*id, 1).to_bits(), fresh[i].to_bits());
+            assert_eq!(builder.predict_root(*id).to_bits(), fresh[i].to_bits());
         }
         let all = program.predict_all_threaded(&units, &codec, Some(&caps), 1);
         for (i, id) in ids.iter().enumerate() {
-            assert_eq!(bits(&builder.predict_all_threaded(*id, 1)), bits(&all[i]));
+            assert_eq!(bits(&builder.predict_all(*id)), bits(&all[i]));
         }
     }
 
@@ -1575,14 +1571,14 @@ mod tests {
         // compile (which computes each copy separately).
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[plan]);
         for id in &ids {
-            assert_eq!(builder.predict_root_threaded(*id, 1).to_bits(), fresh[0].to_bits());
+            assert_eq!(builder.predict_root(*id).to_bits(), fresh[0].to_bits());
         }
         // Retiring three copies keeps the shared rows alive for the last.
         for id in &ids[..3] {
             builder.retire(*id);
         }
         assert_eq!(builder.stats().shared_rows, plan.node_count());
-        assert_eq!(builder.predict_root_threaded(ids[3], 1).to_bits(), fresh[0].to_bits());
+        assert_eq!(builder.predict_root(ids[3]).to_bits(), fresh[0].to_bits());
         // Retiring the last releases everything.
         builder.retire(ids[3]);
         let empty = builder.stats();
@@ -1665,7 +1661,7 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         builder.admit(&ds.plans[0].root);
-        let before = builder.predict_roots_threaded(1);
+        let before = builder.predict_roots();
         let before_stats = builder.stats();
         use qpp_plansim::operators::{JoinAlgorithm, JoinType, Operator, ParentRel};
         // The malformed node is the ROOT (last in post order) above a
@@ -1685,7 +1681,7 @@ mod tests {
         assert_eq!(after.shared_rows, before_stats.shared_rows, "rejected admit leaked rows");
         assert_eq!(after.steps, before_stats.steps, "rejected admit leaked chunks");
         assert_eq!(builder.len(), 1);
-        assert_eq!(bits(&builder.predict_roots_threaded(1)), bits(&before));
+        assert_eq!(bits(&builder.predict_roots()), bits(&before));
     }
 
     #[test]
@@ -1693,7 +1689,7 @@ mod tests {
         let (_, fz, wh, units, codec) = setup(Workload::TpcH);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         assert!(builder.is_empty());
-        assert!(builder.predict_roots_threaded(1).is_empty());
+        assert!(builder.predict_roots().is_empty());
         assert!(builder.stats().to_string().contains("0 resident plans"));
     }
 
@@ -1704,9 +1700,14 @@ mod tests {
         for p in &ds.plans {
             builder.admit(&p.root);
         }
-        let base = builder.predict_roots_threaded(1);
-        for threads in [2, 4, 8] {
-            assert_eq!(bits(&builder.predict_roots_threaded(threads)), bits(&base));
+        let base = builder.predict_roots();
+        // The builder runs on its caller; the same resident set compiled
+        // as a program answers with its bits on any number of lanes.
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let mut program = PlanProgram::compile(&fz, &wh, &units, &roots);
+        for threads in [1, 2, 4, 8] {
+            let lanes = program.predict_roots_threaded(&units, &codec, None, threads);
+            assert_eq!(bits(&lanes), bits(&base), "{threads} lanes");
         }
     }
 
@@ -1723,22 +1724,24 @@ mod tests {
         }
         assert_eq!(sharded.len(), 12);
         assert_eq!(sharded.num_shards(), 3);
-        // Batch views agree at every thread count, and per-plan views
-        // agree with the single builder.
-        let base = single.predict_roots_threaded(1);
-        for threads in [1, 2, 4] {
+        // Batch views agree at every fan-out (the first one runs the
+        // shards, concurrently), and per-plan views agree with the single
+        // builder.
+        let base = single.predict_roots();
+        for threads in [2, 4, 1] {
             assert_eq!(bits(&sharded.predict_roots_threaded(threads)), bits(&base));
         }
         for (s, d) in single_ids.iter().zip(&sharded_ids) {
-            assert_eq!(sharded.predict_root_threaded(*d, 1).to_bits(), single.predict_root_threaded(*s, 1).to_bits());
-            assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all_threaded(*s, 1)));
+            let want = single.predict_root(*s).to_bits();
+            assert_eq!(sharded.predict_root_threaded(*d, 1).to_bits(), want);
+            assert_eq!(bits(&sharded.predict_all(*d)), bits(&single.predict_all(*s)));
         }
         // Retire half; survivors still agree.
         for (s, d) in single_ids.iter().zip(&sharded_ids).step_by(2) {
             single.retire(*s);
             sharded.retire(*d);
         }
-        assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots_threaded(1)));
+        assert_eq!(bits(&sharded.predict_roots_threaded(4)), bits(&single.predict_roots()));
         assert!(sharded.contains(sharded_ids[1]) && !sharded.contains(sharded_ids[0]));
     }
 
@@ -1852,7 +1855,7 @@ mod tests {
                 sp.rebuild_from_tree(&p.root);
                 let fast = builder.predict_oneshot(&sp);
                 let id = builder.admit(&p.root);
-                let slow = builder.predict_root_threaded(id, 1);
+                let slow = builder.predict_root(id);
                 builder.retire(id);
                 assert_eq!(
                     fast.latency_ms.to_bits(),
@@ -1981,14 +1984,14 @@ mod tests {
         let (ds, fz, wh, units, codec) = setup(Workload::TpcDs);
         let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
         let ids: Vec<PlanId> = ds.plans.iter().take(6).map(|p| builder.admit(&p.root)).collect();
-        let first = builder.predict_root_threaded(ids[0], 1);
+        let first = builder.predict_root(ids[0]);
         let ran = builder.stats();
         assert_eq!(ran.steps_run, ran.steps as u64, "the first run computes every chunk");
         assert_eq!(ran.rows_run, ran.shared_rows as u64);
         for &id in ids.iter().rev() {
-            builder.predict_root_threaded(id, 4);
+            builder.predict_root(id);
         }
-        assert_eq!(builder.predict_root_threaded(ids[0], 1).to_bits(), first.to_bits());
+        assert_eq!(builder.predict_root(ids[0]).to_bits(), first.to_bits());
         let again = builder.stats();
         assert_eq!((again.steps_run, again.rows_run), (ran.steps_run, ran.rows_run));
         assert!(again.to_string().contains(&format!("ran {} steps", ran.steps_run)));
@@ -2003,7 +2006,7 @@ mod tests {
         let (a, b, c) = (by_size[0], by_size[1], by_size[by_size.len() - 1]);
         let id_a = builder.admit(&a.root);
         let id_b = builder.admit(&b.root);
-        builder.predict_roots_threaded(1);
+        builder.predict_roots();
         let (high_water, chunks) = (builder.outputs.rows(), builder.steps.len());
         builder.retire(id_a);
         let id_c = builder.admit(&c.root);
@@ -2011,10 +2014,10 @@ mod tests {
         assert_eq!(builder.steps.len(), chunks, "C must take A's freed chunk slots");
         let fresh = fresh_compile_roots(&fz, &wh, &units, &codec, &[b, c]);
         let before = builder.stats().steps_run;
-        assert_eq!(builder.predict_root_threaded(id_c, 1).to_bits(), fresh[1].to_bits());
+        assert_eq!(builder.predict_root(id_c).to_bits(), fresh[1].to_bits());
         let after_c = builder.stats().steps_run;
         assert!(after_c > before, "C's chunks must run");
-        assert_eq!(builder.predict_root_threaded(id_b, 1).to_bits(), fresh[0].to_bits());
+        assert_eq!(builder.predict_root(id_b).to_bits(), fresh[0].to_bits());
         assert_eq!(builder.stats().steps_run, after_c, "B is only decoded");
     }
 

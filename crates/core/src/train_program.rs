@@ -59,7 +59,7 @@
 //! lane counts gradients differ only in f32 summation order.
 
 use crate::config::TargetCodec;
-use crate::infer::{gather_child_columns, Step, WavefrontBuilder};
+use crate::infer::{balanced_cuts, gather_child_columns, Step, WavefrontBuilder};
 use crate::lower::{lower, Lowering};
 use crate::unit::UnitSet;
 use qpp_nn::{
@@ -232,31 +232,6 @@ impl TrainSet {
     }
 }
 
-/// Cuts items of the given `weights` into at most `parts` contiguous,
-/// non-empty ranges of roughly equal total weight, returning the range
-/// boundaries (`0` first, `weights.len()` last). An item joins the range
-/// in which at least half of its weight falls. Plans are cut into lanes
-/// by node count, layers into fold shares by parameter count.
-fn balanced_cuts(weights: &[usize], parts: usize) -> Vec<usize> {
-    let n = parts.min(weights.len()).max(1);
-    let total: usize = weights.iter().sum();
-    let mut cuts = Vec::with_capacity(n + 1);
-    cuts.push(0);
-    let (mut end, mut before) = (0usize, 0usize);
-    for i in 1..n {
-        // Leave at least one item for each range still to come.
-        let (min_end, max_end) = (cuts[i - 1] + 1, weights.len() - (n - i));
-        let target = total * i / n;
-        while end < max_end && (end < min_end || before + weights[end] / 2 < target) {
-            before += weights[end];
-            end += 1;
-        }
-        cuts.push(end);
-    }
-    cuts.push(weights.len());
-    cuts
-}
-
 /// One lane of a [`ProgramTape`]: a contiguous range of the batch's plans
 /// compiled as its own differentiable wavefront program. Row indices
 /// (`outputs`, `grad_outputs`, the steps' member and child rows) are
@@ -317,8 +292,9 @@ impl Lane {
             }
         }
 
+        builder.check_units(units);
         let (steps, levels) =
-            builder.finish(units, TRAIN_CHUNK_ROWS, &mut |rows, cols| pool.take(rows, cols));
+            builder.finish(out_w, TRAIN_CHUNK_ROWS, &mut |rows, cols| pool.take(rows, cols));
         // Every recorded activation is fully overwritten by each forward
         // (and outputs/grad rows by each run/loss), so pooled buffers with
         // unspecified contents are safe everywhere here.
@@ -371,7 +347,7 @@ impl Lane {
                     step.feat_width,
                     out_w,
                     &mut step.input,
-                    |r| outputs.row(r),
+                    outputs,
                 );
                 let last = forward_layers(step, &mut self.acts[id], panels.unit(step.kind));
                 last.scatter_rows_into(&step.rows, outputs);
@@ -602,7 +578,7 @@ fn run_lanes(
         }
         !poisoned.load(Ordering::Acquire)
     };
-    Executor::global().run(workers, &|w, _pool| {
+    Executor::global().run(workers, &|w| {
         // Fewer layers than workers leaves the last workers no share.
         let share = match (shares.get(w), shares.get(w + 1)) {
             (Some(&start), Some(&end)) => start..end,

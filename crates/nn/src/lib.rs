@@ -16,9 +16,9 @@
 //! * [`BufferPool`] — reusable matrix buffers behind the inference-only
 //!   [`PackedMlp::forward_pooled`] pass, so serving hot paths allocate
 //!   nothing in steady state — plus the resident [`Executor`]: a
-//!   process-wide pool of parked worker threads (each owning its
-//!   `BufferPool`) that multicore serving and training dispatch onto
-//!   instead of spawning threads per run.
+//!   process-wide pool of parked worker threads that multicore serving
+//!   and training dispatch onto instead of spawning threads per run (the
+//!   lanes and shards they run carry their own `BufferPool`s).
 //! * [`Dense`] / [`Mlp`] — affine layers with configurable [`Activation`]s,
 //!   batched forward passes, cached activations, and exact reverse-mode
 //!   gradients (including the *input* gradient, which plan-structured

@@ -21,17 +21,16 @@
 //! # Threading
 //!
 //! A pool is deliberately **not** shared between threads — no locks, no
-//! atomics. Multicore serving gives each worker thread its *own* pool
+//! atomics. Multicore work gives each lane or shard its *own* pool
 //! (`BufferPool` is [`Send`], as the compile-time assertion below pins
 //! down), which keeps the hot path lock-free and each worker's buffers
 //! warm in its core's cache. Sharing one pool behind a mutex would
 //! serialize exactly the allocations the pool exists to avoid.
 //!
-//! The *owner* of those per-worker pools is the resident [`Executor`]: a
+//! The threads themselves come from the resident [`Executor`]: a
 //! process-wide pool of parked worker threads, created once and reused
-//! across runs, where each worker permanently owns one `BufferPool` (and
-//! the caller owns worker 0's). See [`Executor`] for the park/unpark
-//! protocol and the lifetime-soundness argument.
+//! across runs. See [`Executor`] for the park/unpark protocol and the
+//! lifetime-soundness argument.
 
 use crate::matrix::Matrix;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -52,8 +51,8 @@ pub struct BufferPool {
     free: Vec<Matrix>,
 }
 
-// The multicore serving engine moves pools (and the matrices inside them)
-// into scoped worker threads, and shares `&Mlp`/`&Matrix` across workers.
+// Multicore lanes and shards carry pools (and the matrices inside them)
+// onto executor workers, and share `&Mlp`/`&Matrix` across workers.
 // Pin those auto-trait facts at compile time so a future field addition
 // (e.g. an Rc-cached statistic) cannot silently break `Send`-cleanliness.
 const _: () = {
@@ -116,15 +115,9 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// A dispatched job: called once per participating worker with that
-/// worker's index and its resident `BufferPool`. The `'static` lifetime is
-/// a transmute-erased fiction — see the safety comment in
-/// [`Executor::run`].
-type Job = &'static (dyn Fn(usize, &mut BufferPool) + Sync);
-
-/// One worker's persistent pool slot (shared with the spawned thread that
-/// owns it, so callers can inspect pooled-buffer counts while the worker
-/// is parked).
-type PoolSlot = Arc<Mutex<BufferPool>>;
+/// worker's index. The `'static` lifetime is a transmute-erased fiction —
+/// see the safety comment in [`Executor::run`].
+type Job = &'static (dyn Fn(usize) + Sync);
 
 /// State shared between the executor handle and its resident workers,
 /// guarded by one mutex (cold path only — job bodies never touch it).
@@ -188,7 +181,7 @@ impl std::fmt::Display for ExecutorStats {
     }
 }
 
-/// A resident pool of parked worker threads for level-barrier wavefront
+/// A resident pool of parked worker threads for plan-lane and shard
 /// runs — the replacement for spawn-per-run scoped threads, whose ~0.2 ms
 /// per-thread spawn cost dwarfed the engine's microsecond-scale admissions.
 ///
@@ -196,33 +189,30 @@ impl std::fmt::Display for ExecutorStats {
 ///
 /// Workers are spawned lazily (first run that needs them, or eagerly via
 /// [`Executor::new`]), then **parked on a condvar** between runs; an idle
-/// pool burns no CPU. Each spawned worker permanently owns one
-/// [`BufferPool`], kept warm across runs, so steady-state parallel serving
-/// still allocates nothing; the caller participates as worker 0 with the
-/// executor's caller pool. [`Executor::global`] returns the process-wide
-/// instance every serving and training path shares — multiple resident
-/// models are tenants of the same pool.
+/// pool burns no CPU. The caller participates as worker 0. Workers own no
+/// buffers: a job's lanes or shards carry their own [`BufferPool`]s.
+/// [`Executor::global`] returns the process-wide instance every serving
+/// and training path shares — multiple resident models are tenants of
+/// the same pool.
 ///
 /// # Dispatch protocol
 ///
-/// [`Executor::run`]`(threads, job)` with `threads <= 1` calls
-/// `job(0, caller_pool)` inline — no worker interaction, no condvar, just
-/// one uncontended mutex acquisition (the measured dispatch floor is well
-/// under the 5 µs budget). Otherwise the caller bumps the epoch, installs
-/// the job, wakes the pool, runs its own share as worker 0, then sleeps
-/// until the last enrolled worker checks out. Runs are serialized by the
-/// caller-pool lock; nesting `run` inside a job deadlocks and is
-/// forbidden.
+/// [`Executor::run`]`(threads, job)` with `threads <= 1` calls `job(0)`
+/// inline — no worker interaction, no condvar, just one uncontended mutex
+/// acquisition (the measured dispatch floor is well under the 5 µs
+/// budget). Otherwise the caller bumps the epoch, installs the job, wakes
+/// the pool, runs its own share as worker 0, then sleeps until the last
+/// enrolled worker checks out. Runs are serialized by the run-token lock;
+/// nesting `run` inside a job deadlocks and is forbidden.
 ///
 /// # Panics
 ///
 /// A panic on the caller's share is re-raised after every worker finished;
 /// a panic on a spawned worker is caught (the resident thread survives),
 /// parked in the shared state, and re-raised on the caller when the run
-/// completes. Higher layers that interleave barriers with job bodies (the
-/// wavefront executor) keep their own per-level poison protocol so no
-/// worker is stranded mid-barrier — by construction those jobs never leak
-/// a panic into this layer.
+/// completes. A job that waits on a barrier between phases (the training
+/// tape's gradient step) keeps its own poison protocol so no worker is
+/// stranded mid-barrier; barrier-free jobs (lanes, shards) need none.
 ///
 /// ```
 /// use qpp_nn::Executor;
@@ -230,15 +220,16 @@ impl std::fmt::Display for ExecutorStats {
 ///
 /// let exec = Executor::new(1); // one resident worker, parked
 /// let hits = AtomicUsize::new(0);
-/// exec.run(2, &|_worker, _pool| {
+/// exec.run(2, &|_worker| {
 ///     hits.fetch_add(1, Ordering::Relaxed);
 /// });
 /// assert_eq!(hits.load(Ordering::Relaxed), 2); // caller + 1 worker
 /// ```
 pub struct Executor {
     shared: Arc<ExecShared>,
-    /// Index 0 is the caller's pool; spawned worker `w` owns slot `w`.
-    pools: Mutex<Vec<PoolSlot>>,
+    /// Held for the whole of a run: exactly one run is in flight per
+    /// executor, so the job slot is never overwritten mid-run.
+    run_token: Mutex<()>,
     handles: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -263,7 +254,7 @@ impl Executor {
                 parks: AtomicU64::new(0),
                 unparks: AtomicU64::new(0),
             }),
-            pools: Mutex::new(vec![Arc::new(Mutex::new(BufferPool::new()))]),
+            run_token: Mutex::new(()),
             handles: Mutex::new(Vec::new()),
         };
         exec.ensure_workers(workers);
@@ -281,18 +272,13 @@ impl Executor {
 
     /// Runs `job` once per worker index `0..threads`, worker 0 on the
     /// calling thread, the rest on resident workers (spawned now if the
-    /// pool is smaller than `threads - 1`). Each invocation gets exclusive
-    /// use of that worker's persistent [`BufferPool`]. Blocks until every
-    /// enrolled worker finished. `threads <= 1` is the inline fast path.
-    pub fn run(&self, threads: usize, job: &(dyn Fn(usize, &mut BufferPool) + Sync)) {
-        // The caller-pool guard doubles as the run token: exactly one run
-        // is in flight per executor, so the job slot below is never
-        // overwritten mid-run.
-        let caller_slot = lock(&self.pools)[0].clone();
-        let mut caller_pool = lock(&caller_slot);
+    /// pool is smaller than `threads - 1`). Blocks until every enrolled
+    /// worker finished. `threads <= 1` is the inline fast path.
+    pub fn run(&self, threads: usize, job: &(dyn Fn(usize) + Sync)) {
+        let token = lock(&self.run_token);
         self.shared.runs.fetch_add(1, Ordering::Relaxed);
         if threads <= 1 {
-            job(0, &mut caller_pool);
+            job(0);
             return;
         }
         self.ensure_workers(threads - 1);
@@ -303,7 +289,7 @@ impl Executor {
         // hold the reference; non-enrolled workers never dereference a job
         // for an epoch they are not part of.
         let job_static: Job = unsafe {
-            std::mem::transmute::<&(dyn Fn(usize, &mut BufferPool) + Sync), Job>(job)
+            std::mem::transmute::<&(dyn Fn(usize) + Sync), Job>(job)
         };
         {
             let mut st = lock(&self.shared.state);
@@ -316,7 +302,7 @@ impl Executor {
         // Catch the caller's share too: unwinding past this frame while
         // workers still hold the transmuted job reference would be UB, so
         // the payload is re-raised only after the rendezvous below.
-        let caller = catch_unwind(AssertUnwindSafe(|| job(0, &mut caller_pool)));
+        let caller = catch_unwind(AssertUnwindSafe(|| job(0)));
         let worker_payload = {
             let mut st = lock(&self.shared.state);
             while st.remaining > 0 {
@@ -325,7 +311,7 @@ impl Executor {
             st.job = None;
             st.worker_panic.take()
         };
-        drop(caller_pool);
+        drop(token);
         if let Err(payload) = caller {
             resume_unwind(payload);
         }
@@ -345,29 +331,18 @@ impl Executor {
         }
     }
 
-    /// Total matrices currently pooled across the caller's and every
-    /// resident worker's `BufferPool` — the steady-state-allocation
-    /// observable (stable across runs once every pool hit its high-water
-    /// mark). Blocks briefly if a run is in flight.
-    pub fn pooled_buffers(&self) -> usize {
-        lock(&self.pools).iter().map(|slot| lock(slot).available()).sum()
-    }
-
     /// Spawns resident workers until at least `want` exist.
     fn ensure_workers(&self, want: usize) {
         let mut handles = lock(&self.handles);
         if handles.len() >= want {
             return;
         }
-        let mut pools = lock(&self.pools);
         while handles.len() < want {
             let index = handles.len() + 1;
-            let pool: PoolSlot = Arc::new(Mutex::new(BufferPool::new()));
-            pools.push(pool.clone());
             let shared = self.shared.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("qpp-exec-{index}"))
-                .spawn(move || worker_main(&shared, index, &pool))
+                .spawn(move || worker_main(&shared, index))
                 .expect("spawn resident executor worker");
             handles.push(handle);
         }
@@ -389,8 +364,8 @@ impl Drop for Executor {
 }
 
 /// A resident worker's main loop: park until a fresh epoch enrolls this
-/// index, run the job with the worker's own pool, check out, repeat.
-fn worker_main(shared: &ExecShared, index: usize, pool: &Mutex<BufferPool>) {
+/// index, run the job, check out, repeat.
+fn worker_main(shared: &ExecShared, index: usize) {
     let mut seen = 0u64;
     loop {
         let job = {
@@ -420,10 +395,7 @@ fn worker_main(shared: &ExecShared, index: usize, pool: &Mutex<BufferPool>) {
         shared.unparks.fetch_add(1, Ordering::Relaxed);
         // Catch panics so the resident thread survives a poisoned run; the
         // payload is re-raised on the caller (first panicking worker wins).
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            let mut pool = lock(pool);
-            job(index, &mut pool);
-        }));
+        let result = catch_unwind(AssertUnwindSafe(|| job(index)));
         let mut st = lock(&shared.state);
         if let Err(payload) = result {
             st.worker_panic.get_or_insert(payload);
@@ -473,7 +445,7 @@ mod tests {
         let exec = Executor::new(0);
         for threads in [1usize, 2, 3, 5] {
             let seen = Mutex::new(Vec::new());
-            exec.run(threads, &|w, _pool| {
+            exec.run(threads, &|w| {
                 seen.lock().unwrap().push(w);
             });
             let mut seen = seen.into_inner().unwrap();
@@ -489,7 +461,7 @@ mod tests {
         let exec = Executor::new(2);
         let hits = AtomicUsize::new(0);
         for _ in 0..10 {
-            exec.run(1, &|w, _pool| {
+            exec.run(1, &|w| {
                 assert_eq!(w, 0, "fast path runs on the caller only");
                 hits.fetch_add(1, Ordering::Relaxed);
             });
@@ -501,30 +473,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_pools_persist_across_runs() {
-        let exec = Executor::new(1);
-        // First run leaves one buffer in each participant's pool.
-        exec.run(2, &|_w, pool| {
-            let m = pool.take(4, 4);
-            pool.give(m);
-        });
-        let pooled = exec.pooled_buffers();
-        assert_eq!(pooled, 2, "caller + 1 worker each pooled one buffer");
-        // Steady state: reuse is exact, nothing grows.
-        for _ in 0..3 {
-            exec.run(2, &|_w, pool| {
-                let m = pool.take(2, 8);
-                pool.give(m);
-            });
-            assert_eq!(exec.pooled_buffers(), pooled, "pool grew in steady state");
-        }
-    }
-
-    #[test]
     fn worker_panic_is_reraised_on_the_caller_and_pool_survives() {
         let exec = Executor::new(1);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run(2, &|w, _pool| {
+            exec.run(2, &|w| {
                 if w == 1 {
                     panic!("boom on worker {w}");
                 }
@@ -535,7 +487,7 @@ mod tests {
         assert!(msg.contains("boom on worker 1"), "got: {msg}");
         // The resident worker survived its panic and still takes jobs.
         let hits = AtomicUsize::new(0);
-        exec.run(2, &|_w, _pool| {
+        exec.run(2, &|_w| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 2, "pool dead after worker panic");
@@ -546,7 +498,7 @@ mod tests {
         let exec = Executor::new(1);
         let worker_done = AtomicUsize::new(0);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.run(2, &|w, _pool| {
+            exec.run(2, &|w| {
                 if w == 0 {
                     panic!("boom on caller");
                 }
@@ -556,7 +508,7 @@ mod tests {
         assert!(result.is_err(), "caller panic must propagate");
         assert_eq!(worker_done.load(Ordering::Relaxed), 1, "worker share must complete");
         // Executor is still serviceable.
-        exec.run(2, &|_w, _pool| {});
+        exec.run(2, &|_w| {});
     }
 
     #[test]

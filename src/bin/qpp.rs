@@ -34,12 +34,13 @@
 //! retires) — with per-shard [`qpp::net::ProgramStats`] (CSE dedup
 //! ratio, feature-cache hit rate), burst and arrival counts and
 //! resident-executor pool stats reported at the end. `--threads` takes a
-//! comma list of worker counts
+//! comma list of plan-lane counts
 //! (e.g. `--threads 1,2,4`; predictions use the first entry — thread
 //! count never changes them), and `--repeat N` (N > 1) prints one
 //! throughput table covering every engine × thread-count combination,
-//! including precompiled steady-state serving and incremental admission,
-//! so the README's scaling numbers reproduce with a single command.
+//! including precompiled steady-state serving, plus one row of
+//! single-thread incremental admission, so the README's scaling numbers
+//! reproduce with a single command.
 //!
 //! Extensions: `generate --max-mpl 8` produces a concurrent workload
 //! (§8 future work), `train --load-aware true` exposes the system load as
@@ -55,7 +56,8 @@
 //! ([`qpp::net::serve`]): resident [`qpp::net::ShardedStream`]s behind a
 //! JSON-lines wire protocol (admit / retire / predict / admit_predict /
 //! stats / shutdown) over TCP or `unix:` sockets, with one request path
-//! per verb and multi-model tenancy via a comma-separated `--model` list.
+//! per verb and multi-model tenancy via a comma-separated `--model` list;
+//! `--shards N` gives each tenant N shards.
 //! Drive it with the `perfbench/` benchmark for end-to-end latency.
 //!
 //! Each subcommand accepts only the flags it reads (`accepted_flags`);
@@ -112,7 +114,7 @@ fn usage(error: &str) -> ExitCode {
          qpp explain    --dataset FILE --query N\n\
          qpp importance --dataset FILE --model FILE [--seed N] [--top N]\n\
          qpp serve      --model FILE[,FILE...] [--addr HOST:PORT|unix:PATH]\n\
-                        [--shards N] [--threads N]\n\
+                        [--shards N]\n\
          qpp serve-stats [--addr HOST:PORT|unix:PATH]"
     );
     ExitCode::from(2)
@@ -132,7 +134,7 @@ fn accepted_flags(cmd: &str) -> Option<&'static [&'static str]> {
         ],
         "explain" => &["dataset", "query"],
         "importance" => &["dataset", "model", "seed", "top"],
-        "serve" => &["model", "addr", "shards", "threads"],
+        "serve" => &["model", "addr", "shards"],
         "serve-stats" => &["addr"],
         _ => return None,
     })
@@ -424,7 +426,7 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         if burst == 0 {
             return Err("invalid burst width: `0`".into());
         }
-        return cmd_predict_stream(&ds, &model, window, threads[0], shards, burst, repeat);
+        return cmd_predict_stream(&ds, &model, window, shards, burst, repeat);
     }
 
     let plans: Vec<&Plan> = ds.plans.iter().collect();
@@ -518,21 +520,19 @@ fn cmd_predict_batch(flags: &HashMap<String, String>) -> Result<(), String> {
         // Incremental admission churn: admit the whole batch into a
         // persistent streaming session, score it, retire it. Later
         // repeats run against a warm feature cache — exactly a live
-        // stream's steady state.
+        // stream's steady state. A builder runs on its caller's thread.
         let mut stream = model.serve_stream();
         let mut ids = Vec::with_capacity(plans.len());
-        for &t in &threads {
-            let secs = time(&mut || {
-                for plan in &plans {
-                    ids.push(stream.admit(&plan.root));
-                }
-                let _ = stream.predict_roots_threaded(t);
-                for id in ids.drain(..) {
-                    stream.retire(id);
-                }
-            });
-            report("program incremental", t, secs);
-        }
+        let secs = time(&mut || {
+            for plan in &plans {
+                ids.push(stream.admit(&plan.root));
+            }
+            let _ = stream.predict_roots();
+            for id in ids.drain(..) {
+                stream.retire(id);
+            }
+        });
+        report("program incremental", 1, secs);
         eprintln!("\nstream stats after churn: {}", stream.stats());
     }
     Ok(())
@@ -555,7 +555,6 @@ fn cmd_predict_stream(
     ds: &Dataset,
     model: &QppNet,
     window: usize,
-    threads: usize,
     shards: usize,
     burst: usize,
     repeat: usize,
@@ -570,7 +569,7 @@ fn cmd_predict_stream(
         for chunk in ds.plans.chunks(burst) {
             let ids: Vec<_> = chunk.iter().map(|plan| stream.admit(&plan.root)).collect();
             for &id in &ids {
-                let pred = stream.predict_root_threaded(id, threads);
+                let pred = stream.predict_root_threaded(id, 1);
                 if pass == 0 {
                     // Collected and printed after the stopwatch — stdout
                     // must not skew the per-arrival timing this mode
@@ -607,10 +606,8 @@ fn cmd_predict_stream(
     }
     let mean = per_pass.iter().sum::<f64>() / per_pass.len() as f64;
     eprintln!(
-        "stream ({} thread{}, {} shard{}, burst {}, window {}): {} arrivals in {:.2} ms \
+        "stream ({} shard{}, burst {}, window {}): {} arrivals in {:.2} ms \
          -> {:.0} admissions/s{}",
-        threads,
-        if threads == 1 { "" } else { "s" },
         shards,
         if shards == 1 { "" } else { "s" },
         burst,
@@ -667,11 +664,10 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
     let addr = ServeAddr::parse(get_or(flags, "addr", "127.0.0.1:7878"))?;
     let cfg = ServeConfig {
         shards: parse(get_or(flags, "shards", "1"), "shard count")?,
-        threads: parse(get_or(flags, "threads", "1"), "thread count")?,
         ..ServeConfig::default()
     };
-    if cfg.shards == 0 || cfg.threads == 0 {
-        return Err("--shards/--threads must be >= 1".into());
+    if cfg.shards == 0 {
+        return Err("--shards must be >= 1".into());
     }
 
     // One or more fitted model snapshots; the first is the default
@@ -702,10 +698,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), String> {
         );
     }
     println!(
-        "qpp serve: listening on {} ({} shards, {} threads)",
+        "qpp serve: listening on {} ({} shards)",
         server.local_addr(),
-        cfg.shards,
-        cfg.threads
+        cfg.shards
     );
     println!(
         "kernel tier: {}; one path per verb: one-shot admit_predict takes the \

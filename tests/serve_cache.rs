@@ -3,9 +3,9 @@
 //! on, must emit reply lines **byte-identical** to
 //! `proto::encode_response` of the in-process, memo-free reference
 //! (`QppNet::predict_batch`, a fresh compiled `PlanProgram` per call) —
-//! random admit / retire / predict / admit_predict interleavings, at 1
-//! and 4 wavefront threads, over TCP loopback and unix sockets, single-
-//! and multi-tenant, clamped and unclamped.
+//! random admit / retire / predict / admit_predict interleavings, on 1
+//! and 3 shards, over TCP loopback and unix sockets, single- and
+//! multi-tenant, clamped and unclamped.
 //!
 //! Why byte-equality is the right bar: a memo hit replays an `f64`
 //! produced by a bitwise-identical earlier run, and the wire encoder
@@ -271,20 +271,20 @@ fn tcp() -> ServeAddr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random interleavings at 1 thread over TCP, single-tenant.
+    /// Random interleavings on one shard over TCP, single-tenant.
     #[test]
     fn random_interleavings_are_memo_transparent(seed in any::<u64>()) {
-        let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
+        let cfg = ServeConfig::default();
         memo_replies_match_reference(&tcp, &cfg, false, seed, 28);
     }
 }
 
-/// 4 wavefront threads + 3 shards: the sharded surface routes probes
-/// and inserts per shard; replies must still be the reference bytes.
+/// 3 shards: the sharded surface routes probes and inserts per shard;
+/// replies must still be the reference bytes.
 #[test]
 fn t4_sharded_replies_are_memo_transparent() {
     for seed in [11u64, 12] {
-        let cfg = ServeConfig { threads: 4, shards: 3, ..ServeConfig::default() };
+        let cfg = ServeConfig { shards: 3, ..ServeConfig::default() };
         memo_replies_match_reference(&tcp, &cfg, false, seed, 30);
     }
 }
@@ -350,7 +350,7 @@ fn unix_socket_replies_are_memo_transparent() {
             std::env::temp_dir().join(format!("qpp_serve_cache_{}_{n}.sock", std::process::id())),
         )
     };
-    let cfg = ServeConfig { threads: 4, shards: 2, ..ServeConfig::default() };
+    let cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
     memo_replies_match_reference(&mk, &cfg, false, 31, 30);
 }
 
@@ -404,9 +404,8 @@ fn never_repeating_stream_cannot_grow_memo_past_cap() {
 #[test]
 fn steady_state_memo_hit_path_is_allocation_free() {
     let (ds, model, _) = fixture();
-    for (threads, conns) in [(1usize, 1usize), (4, 4)] {
-        let cfg = ServeConfig { threads, ..ServeConfig::default() };
-        let mut server = Server::bind(&tcp(), cfg).expect("bind");
+    for conns in [1usize, 4] {
+        let mut server = Server::bind(&tcp(), ServeConfig::default()).expect("bind");
         server.register(model);
         let addr = server.local_addr().clone();
         std::thread::scope(|scope| {
@@ -432,11 +431,11 @@ fn steady_state_memo_hit_path_is_allocation_free() {
             assert_eq!(
                 stats.fast_path_predicted,
                 200 * conns as u64,
-                "threads={threads}: every one-shot must take the fast path"
+                "conns={conns}: every one-shot must take the fast path"
             );
             assert_eq!(
                 stats.steady_allocs, 0,
-                "threads={threads} conns={conns}: memo hit path allocated"
+                "conns={conns}: memo hit path allocated"
             );
             // The tenant stream (and so its memo) is shared across
             // connections and probed under the server lock: the 8-plan
@@ -444,12 +443,12 @@ fn steady_state_memo_hit_path_is_allocation_free() {
             // else is a hit.
             assert_eq!(
                 stats.cache_misses, 8,
-                "threads={threads}: exactly one miss per distinct plan"
+                "conns={conns}: exactly one miss per distinct plan"
             );
             assert_eq!(
                 stats.cache_hits,
                 200 * conns as u64 - 8,
-                "threads={threads}: every repeat must be a memo hit"
+                "conns={conns}: every repeat must be a memo hit"
             );
             ctl.shutdown().expect("shutdown");
         });

@@ -1,7 +1,7 @@
 //! Differential tests for the serving daemon: random admit / retire /
 //! predict interleavings driven **through the socket** must produce
 //! predictions **bitwise-equal** to scoring each plan alone with
-//! `QppNet::predict_batch` — at 1 and 4 wavefront threads, clamped and
+//! `QppNet::predict_batch` — on 1, 2 and 3 shards, clamped and
 //! unclamped, over TCP loopback and unix sockets, on both request paths
 //! (the one-shot fast path and the general decoder).
 //!
@@ -176,7 +176,7 @@ fn served_bits_match_inprocess(
 fn tcp_served_bits_match_inprocess_t1() {
     for seed in [1u64, 2, 3, 7] {
         for clamped in [false, true] {
-            let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
+            let cfg = ServeConfig::default();
             let addr = ServeAddr::parse("127.0.0.1:0").unwrap();
             served_bits_match_inprocess(&addr, cfg, clamped, seed, 30);
         }
@@ -191,7 +191,7 @@ fn tcp_served_bits_match_inprocess_t1() {
 fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
     let (ds, clamped_model, unclamped_model) = fixture();
     for model in [clamped_model, unclamped_model] {
-        let cfg = ServeConfig { threads: 1, ..ServeConfig::default() };
+        let cfg = ServeConfig::default();
         let mut server =
             Server::bind(&ServeAddr::parse("127.0.0.1:0").unwrap(), cfg).expect("bind");
         server.register(model);
@@ -233,11 +233,11 @@ fn tcp_served_bits_match_with_fast_path_forced_on_and_off() {
 
 #[test]
 fn tcp_served_bits_match_inprocess_t4_sharded() {
-    // 4 wavefront threads + 3 shards: the full concurrent configuration
-    // must still match the single sequential builder bit-for-bit.
+    // 3 shards: the sharded configuration must still match the single
+    // sequential builder bit-for-bit.
     for seed in [4u64, 5] {
         for clamped in [false, true] {
-            let cfg = ServeConfig { threads: 4, shards: 3, ..ServeConfig::default() };
+            let cfg = ServeConfig { shards: 3, ..ServeConfig::default() };
             let addr = ServeAddr::parse("127.0.0.1:0").unwrap();
             served_bits_match_inprocess(&addr, cfg, clamped, seed, 30);
         }
@@ -249,7 +249,7 @@ fn tcp_served_bits_match_inprocess_t4_sharded() {
 fn unix_socket_served_bits_match_inprocess() {
     let path = std::env::temp_dir().join(format!("qpp_serve_diff_{}.sock", std::process::id()));
     let addr = ServeAddr::Unix(path);
-    let cfg = ServeConfig { threads: 4, shards: 2, ..ServeConfig::default() };
+    let cfg = ServeConfig { shards: 2, ..ServeConfig::default() };
     served_bits_match_inprocess(&addr, cfg, true, 6, 30);
 }
 

@@ -233,14 +233,14 @@ fn mid_request_disconnect_does_not_disturb_other_clients() {
 #[test]
 fn poisoned_executor_run_does_not_wedge_the_daemon() {
     let (ds, _) = fixture();
-    with_server(ServeConfig { threads: 4, ..ServeConfig::default() }, |addr| {
+    with_server(ServeConfig::default(), |addr| {
         let mut client = Client::connect(addr).expect("connect");
         client.set_timeout(Some(Duration::from_secs(10))).unwrap();
         let before = client.admit_predict(&ds.plans[3].root, false).expect("before").1;
 
         // Poison a run on the same process-wide pool the daemon uses.
         let poisoned = std::panic::catch_unwind(|| {
-            qpp::nn::Executor::global().run(4, &|worker, _| {
+            qpp::nn::Executor::global().run(4, &|worker| {
                 if worker == 2 {
                     panic!("injected poison");
                 }

@@ -1,7 +1,7 @@
 //! Differential tests for the incremental serving engine: random
 //! admit/retire/predict interleavings through `ProgramBuilder` must
 //! produce predictions **bit-identical** to a fresh `PlanProgram::compile`
-//! of the same resident set — at 1 and 4 worker threads, unclamped and
+//! of the same resident set — run on 1 and 4 plan lanes, unclamped and
 //! under the structural envelope. A predict runs only the chunks that
 //! gained members since the last run, so every interleaving here is also
 //! a test of those partial runs. One-shot predicts (admit → run → retire
@@ -40,7 +40,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// Fresh-compile root predictions of `plans` (admission order), clamped
-/// when `caps` is given, on `threads` workers.
+/// when `caps` is given. The program runs on 1 and then 4 plan lanes,
+/// which must agree bitwise.
 fn fresh_roots(
     fz: &Featurizer,
     wh: &Whitener,
@@ -48,20 +49,18 @@ fn fresh_roots(
     codec: &TargetCodec,
     caps: Option<&RatioCaps>,
     plans: &[&Plan],
-    threads: usize,
 ) -> Vec<f64> {
     let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
     let mut fresh = PlanProgram::compile(fz, wh, units, &roots);
-    fresh.predict_roots_threaded(units, codec, caps, threads)
+    let one = fresh.predict_roots_threaded(units, codec, caps, 1);
+    let four = fresh.predict_roots_threaded(units, codec, caps, 4);
+    assert_eq!(bits(&one), bits(&four), "fresh compile diverged between 1 and 4 lanes");
+    one
 }
 
 /// Drives one random admit/retire/predict interleaving and, at every
 /// predict point, checks the builder against a fresh compile of exactly
-/// the resident set (in admission order) — bitwise. A predict leaves
-/// every row computed, so one builder shared across thread counts would
-/// leave the second count nothing to run: each thread count (1 and 4)
-/// drives a builder of its own through the same op sequence, so partial
-/// runs are exercised at both.
+/// the resident set (in admission order) — bitwise.
 fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let ds = Dataset::generate(workload, 1.0, 20, seed);
     let fz = Featurizer::new(&ds.catalog);
@@ -74,19 +73,14 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let units = UnitSet::new(&QppConfig::tiny(), &fz, &mut rng);
     let caps_opt = clamped.then_some(&caps);
 
-    let mut builders: Vec<(usize, ProgramBuilder)> = [1usize, 4]
-        .into_iter()
-        .map(|threads| (threads, ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt)))
-        .collect();
-    // The reference resident set, in admission order. Every builder sees
-    // the same op sequence, so it hands out the same ids.
+    let mut b = ProgramBuilder::new(&fz, &wh, &units, &codec, caps_opt);
+    // The reference resident set, in admission order.
     let mut resident: Vec<(PlanId, usize)> = Vec::new();
     let mut op_rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5EED5);
     let mut scratch = ScratchPlan::new();
     // True while every admitted row has been computed: a run executes
     // every stale chunk, so only then is a one-shot's run bounded by the
-    // chunks its own rows joined. The builders share one op sequence and
-    // so one freshness state.
+    // chunks its own rows joined.
     let mut fresh = true;
 
     for _ in 0..32 {
@@ -96,36 +90,29 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
             // allowed — they are the CSE-heavy case).
             0 => {
                 let pick = op_rng.gen_range(0..ds.plans.len());
-                let ids: Vec<PlanId> =
-                    builders.iter_mut().map(|(_, b)| b.admit(&ds.plans[pick].root)).collect();
-                assert!(ids.iter().all(|&id| id == ids[0]), "builders drifted apart");
-                resident.push((ids[0], pick));
+                resident.push((b.admit(&ds.plans[pick].root), pick));
                 fresh = false;
             }
             // Retire a random resident plan.
             1 if !resident.is_empty() => {
                 let victim = op_rng.gen_range(0..resident.len());
                 let (id, _) = resident.remove(victim);
-                for (_, b) in &mut builders {
-                    b.retire(id);
-                }
+                b.retire(id);
             }
             // Predict one random resident plan — the same plan is
             // predicted again and again with admits and retires between.
             2 if !resident.is_empty() => {
                 let i = op_rng.gen_range(0..resident.len());
                 let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
-                for (threads, b) in &mut builders {
-                    let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans, *threads);
-                    let got = b.predict_root_threaded(resident[i].0, *threads);
-                    assert_eq!(
-                        got.to_bits(),
-                        want[i].to_bits(),
-                        "plan {i} of {}, {threads} threads, clamped={clamped}: \
-                         incremental predict_root diverged from fresh compile",
-                        resident.len()
-                    );
-                }
+                let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans);
+                let got = b.predict_root(resident[i].0);
+                assert_eq!(
+                    got.to_bits(),
+                    want[i].to_bits(),
+                    "plan {i} of {}, clamped={clamped}: \
+                     incremental predict_root diverged from fresh compile",
+                    resident.len()
+                );
                 fresh = true;
             }
             // One-shot predict of a non-resident plan — half the draws an
@@ -139,52 +126,45 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
                 };
                 let plan = &ds.plans[pick];
                 scratch.rebuild_from_tree(&plan.root);
-                let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &[plan], 1)[0];
-                let mut ran = false;
-                for (threads, b) in &mut builders {
-                    let (before, ids) = (b.stats(), b.resident());
-                    let run = b.predict_oneshot(&scratch);
-                    assert_eq!(
-                        run.latency_ms.to_bits(),
-                        want.to_bits(),
-                        "one-shot of plan {pick}, {threads}-thread builder, clamped={clamped}: \
-                         diverged from fresh compile"
+                let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &[plan])[0];
+                let (before, ids) = (b.stats(), b.resident());
+                let run = b.predict_oneshot(&scratch);
+                assert_eq!(
+                    run.latency_ms.to_bits(),
+                    want.to_bits(),
+                    "one-shot of plan {pick}, clamped={clamped}: diverged from fresh compile"
+                );
+                let after = b.stats();
+                assert_eq!(b.resident(), ids, "a one-shot changed the resident set");
+                assert_eq!(
+                    (after.resident_plans, after.logical_nodes, after.shared_rows),
+                    (before.resident_plans, before.logical_nodes, before.shared_rows),
+                    "a one-shot of plan {pick} left rows behind or took shared ones"
+                );
+                // Every position is either a CSE hit or a new row in one
+                // chunk, so at most `nodes - cse hits` chunks.
+                let joined = plan.node_count() as u64 - (after.cse_hits - before.cse_hits);
+                if fresh {
+                    assert!(
+                        after.steps_run - before.steps_run <= joined,
+                        "a one-shot ran {} chunks but joined at most {joined}",
+                        after.steps_run - before.steps_run
                     );
-                    let after = b.stats();
-                    assert_eq!(b.resident(), ids, "a one-shot changed the resident set");
-                    assert_eq!(
-                        (after.resident_plans, after.logical_nodes, after.shared_rows),
-                        (before.resident_plans, before.logical_nodes, before.shared_rows),
-                        "a one-shot of plan {pick} left rows behind or took shared ones"
-                    );
-                    // Every position is either a CSE hit or a new row in
-                    // one chunk, so at most `nodes - cse hits` chunks.
-                    let joined = plan.node_count() as u64 - (after.cse_hits - before.cse_hits);
-                    if fresh {
-                        assert!(
-                            after.steps_run - before.steps_run <= joined,
-                            "a one-shot ran {} chunks but joined at most {joined}",
-                            after.steps_run - before.steps_run
-                        );
-                    }
-                    ran |= !run.cache_hit;
                 }
-                fresh |= ran;
+                fresh |= !run.cache_hit;
             }
             // Predict every resident plan.
             _ => {
                 let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
-                for (threads, b) in &mut builders {
-                    let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans, *threads);
-                    let got = b.predict_roots_threaded(*threads);
-                    assert_eq!(
-                        bits(&got),
-                        bits(&want),
-                        "{} resident plans, {threads} threads, clamped={clamped}: \
-                         incremental diverged from fresh compile",
-                        resident.len()
-                    );
-                }
+                let want = fresh_roots(&fz, &wh, &units, &codec, caps_opt, &plans);
+                let got = b.predict_roots();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{} resident plans, clamped={clamped}: \
+                     incremental diverged from fresh compile",
+                    resident.len()
+                );
                 fresh = true;
             }
         }
@@ -194,15 +174,13 @@ fn churn_matches_fresh_compile(workload: Workload, seed: u64, clamped: bool) {
     let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
     let roots: Vec<&PlanNode> = plans.iter().map(|p| &p.root).collect();
     let mut fresh = PlanProgram::compile(&fz, &wh, &units, &roots);
-    let want_all = fresh.predict_all_threaded(&units, &codec, caps_opt, 1);
-    for (threads, b) in &mut builders {
-        for (i, &(id, _)) in resident.iter().enumerate() {
-            assert_eq!(
-                bits(&b.predict_all_threaded(id, *threads)),
-                bits(&want_all[i]),
-                "plan {i}, {threads} threads: per-operator predictions diverged"
-            );
-        }
+    let want_all = fresh.predict_all_threaded(&units, &codec, caps_opt, 4);
+    for (i, &(id, _)) in resident.iter().enumerate() {
+        assert_eq!(
+            bits(&b.predict_all(id)),
+            bits(&want_all[i]),
+            "plan {i}: per-operator predictions diverged"
+        );
     }
 }
 
@@ -255,7 +233,7 @@ fn facade_stream_matches_compiled_program_through_churn() {
             let pick = rng.gen_range(0..ds.plans.len());
             resident.push((stream.admit(&ds.plans[pick].root), pick));
         }
-        let streamed = stream.predict_roots_threaded(1);
+        let streamed = stream.predict_roots();
         let plans: Vec<&Plan> = resident.iter().map(|&(_, p)| &ds.plans[p]).collect();
         // The builder and the compiled program both borrow the model
         // immutably; only a refit is excluded while the stream is live.
