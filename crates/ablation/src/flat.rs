@@ -15,7 +15,7 @@
 
 use crate::AblationConfig;
 use qpp_baselines::LatencyModel;
-use qpp_nn::{Activation, Init, Matrix, Mlp, Sgd};
+use qpp_nn::{Activation, Init, Matrix, Mlp, OptState, Sgd};
 use qpp_plansim::features::signed_log1p;
 use qpp_plansim::operators::{AggStrategy, JoinAlgorithm, Operator, ScanMethod, SortMethod};
 use qpp_plansim::plan::Plan;
@@ -175,7 +175,8 @@ impl LatencyModel for FlatDnn {
         dims.push(1);
         let mut mlp =
             Mlp::new(&dims, Activation::Relu, Activation::Identity, Init::He, &mut rng);
-        let mut opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let mut opt_state = OptState::new();
 
         let x_all: Vec<Vec<f32>> = raw.iter().map(|r| whitener.apply(r)).collect();
         let t_all: Vec<f32> = plans.iter().map(|p| codec.encode(p.latency_ms())).collect();
@@ -200,7 +201,8 @@ impl LatencyModel for FlatDnn {
                         gw.add_scaled(w, cfg.weight_decay);
                     }
                 }
-                mlp.apply_grads(&mut opt, 0);
+                let slots = opt_state.layers_mut(mlp.num_layers());
+                mlp.apply_grads(&opt, slots);
             }
         }
         self.fitted = Some((whitener, codec, mlp));

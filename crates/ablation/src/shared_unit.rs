@@ -17,7 +17,7 @@ use crate::sparse_features::SparseFeaturizer;
 use crate::tree_pos::PositionedClass;
 use crate::AblationConfig;
 use qpp_baselines::LatencyModel;
-use qpp_nn::{Activation, Init, Matrix, Mlp, MlpCache, Sgd};
+use qpp_nn::{Activation, Init, Matrix, Mlp, MlpCache, OptState, Sgd};
 use qpp_plansim::features::Whitener;
 use qpp_plansim::plan::{Plan, PlanNode};
 use qppnet::config::TargetCodec;
@@ -135,7 +135,8 @@ impl LatencyModel for SparseUnitDnn {
         dims.push(d1);
         let unit = Mlp::new(&dims, Activation::Relu, Activation::Identity, Init::He, &mut rng);
         let mut fitted = Fitted { whitener, codec, unit };
-        let mut opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let mut opt_state = OptState::new();
 
         let mut order: Vec<usize> = (0..plans.len()).collect();
         for _ in 0..cfg.epochs {
@@ -183,7 +184,8 @@ impl LatencyModel for SparseUnitDnn {
                         gw.add_scaled(w, cfg.weight_decay);
                     }
                 }
-                fitted.unit.apply_grads(&mut opt, 0);
+                let slots = opt_state.layers_mut(fitted.unit.num_layers());
+                fitted.unit.apply_grads(&opt, slots);
             }
         }
         self.fitted = Some(fitted);

@@ -24,7 +24,7 @@ use crate::tree_pos::PositionedClass;
 use crate::AblationConfig;
 use qpp_baselines::LatencyModel;
 use qpp_nn::lstm::LstmNodeCache;
-use qpp_nn::{Activation, Dense, Init, Matrix, Optimizer, Sgd, TreeLstmCell};
+use qpp_nn::{Activation, Dense, Init, LayerState, Matrix, Moments, Sgd, TreeLstmCell};
 use qpp_plansim::catalog::Catalog;
 use qpp_plansim::features::Whitener;
 use qpp_plansim::plan::{Plan, PlanNode};
@@ -118,7 +118,9 @@ impl LatencyModel for TreeLstm {
         let readout =
             Dense::new(cfg.hidden_units, 1, Activation::Identity, Init::Xavier, &mut rng);
         let mut fitted = Fitted { whitener, codec, cell, readout };
-        let mut opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let opt = Sgd::new(cfg.learning_rate, cfg.momentum);
+        let mut cell_state: [Moments; 12] = Default::default();
+        let mut readout_state = LayerState::default();
 
         let hidden = cfg.hidden_units;
         let mut order: Vec<usize> = (0..plans.len()).collect();
@@ -174,9 +176,8 @@ impl LatencyModel for TreeLstm {
                 let scale = 1.0 / total_ops.max(1) as f32;
                 fitted.cell.scale_grad(scale);
                 fitted.readout.scale_grad(scale);
-                fitted.cell.apply_grads(&mut opt, 0);
-                opt.step_matrix(100, &mut fitted.readout.w, &fitted.readout.gw);
-                opt.step_vec(101, &mut fitted.readout.b, &fitted.readout.gb);
+                fitted.cell.apply_grads(&opt, &mut cell_state);
+                fitted.readout.apply_grads(&opt, &mut readout_state);
             }
         }
         self.fitted = Some(fitted);

@@ -362,7 +362,8 @@ impl Lane {
     /// Runs the lane's whole schedule on the calling thread.
     fn run(&mut self, packed: &PackedUnits) {
         let (out_w, pool) = (self.outputs.cols(), &mut self.pool);
-        run_levels_seq(&mut self.steps, &self.levels, packed, &mut self.outputs, pool, out_w);
+        let order = self.levels.iter().flatten().copied();
+        run_steps_seq(&mut self.steps, order, packed, &mut self.outputs, pool, out_w);
     }
 }
 
@@ -773,35 +774,34 @@ pub(crate) fn gather_child_columns(
 }
 
 /// Executes a wavefront schedule bottom-up on the calling thread: for each
-/// step (levels ascending, in level order) routes child outputs into the
-/// step's baked input and runs the unit forward through `pool`. Steps are
-/// visited via the level id lists, so the step slab may contain retired
-/// (unlisted) entries — the incremental engine relies on this.
-pub(crate) fn run_levels_seq(
+/// step id of `order` (levels ascending, flattened — a sequential run
+/// needs no level boundaries) routes child outputs into the step's baked
+/// input and runs the unit forward through `pool`. Steps are visited via
+/// the id list, so the step slab may contain retired (unlisted) entries —
+/// the incremental engine relies on this.
+pub(crate) fn run_steps_seq(
     steps: &mut [Step],
-    levels: &[Vec<u32>],
+    order: impl IntoIterator<Item = u32>,
     packed: &PackedUnits,
     outputs: &mut Matrix,
     pool: &mut BufferPool,
     out_w: usize,
 ) {
-    for level in levels {
-        for &id in level {
-            let step = &mut steps[id as usize];
-            // Route child outputs (written by earlier wavefronts) into the
-            // child columns of this step's input.
-            gather_child_columns(
-                &step.child_rows,
-                step.arity,
-                step.feat_width,
-                out_w,
-                &mut step.input,
-                outputs,
-            );
-            let out = packed.unit(step.kind).forward_pooled(&step.input, pool);
-            out.scatter_rows_into(&step.rows, outputs);
-            pool.give(out);
-        }
+    for id in order {
+        let step = &mut steps[id as usize];
+        // Route child outputs (written by earlier wavefronts) into the
+        // child columns of this step's input.
+        gather_child_columns(
+            &step.child_rows,
+            step.arity,
+            step.feat_width,
+            out_w,
+            &mut step.input,
+            outputs,
+        );
+        let out = packed.unit(step.kind).forward_pooled(&step.input, pool);
+        out.scatter_rows_into(&step.rows, outputs);
+        pool.give(out);
     }
 }
 

@@ -618,6 +618,85 @@ mod tests {
         assert!(again == json, "re-serialized checkpoint differs ({} vs {} bytes)", again.len(), json.len());
     }
 
+    /// A checkpoint carries parameters only: no layer writes its
+    /// gradient accumulators, and a loaded model allocates none.
+    #[test]
+    fn checkpoint_carries_no_gradients() {
+        let ds = dataset();
+        let mut model = QppNet::new(fast(2), &ds.catalog);
+        model.fit(&ds.plans.iter().take(20).collect::<Vec<_>>());
+        let json = model.to_json();
+        assert!(!json.contains("\"gw\"") && !json.contains("\"gb\""), "gradients in checkpoint");
+        let back = QppNet::from_json(&json).unwrap();
+        let units = &back.fitted().units;
+        for kind in qpp_plansim::operators::OpKind::ALL {
+            for layer in units.unit(kind).layers() {
+                assert_eq!((layer.gw.len(), layer.gb.len()), (0, 0), "{kind:?}");
+            }
+        }
+    }
+
+    /// Inserts a gradient-shaped `gw`/`gb` pair into every layer object
+    /// of a checkpoint tree — the format written before checkpoints left
+    /// gradients out.
+    fn add_gradient_keys(v: &mut serde_json::Value) {
+        match v {
+            serde_json::Value::Object(m) => {
+                if m.contains_key("w") && m.contains_key("b") && m.contains_key("act") {
+                    let (gw, gb) = (m["w"].clone(), m["b"].clone());
+                    m.insert("gw".into(), gw);
+                    m.insert("gb".into(), gb);
+                }
+                m.values_mut().for_each(add_gradient_keys);
+            }
+            serde_json::Value::Array(items) => items.iter_mut().for_each(add_gradient_keys),
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn old_checkpoint_with_gradients_loads_and_predicts_bit_equal() {
+        let ds = dataset();
+        let split = ds.paper_split(3);
+        let mut model = QppNet::new(fast(3), &ds.catalog);
+        model.fit(&ds.select(&split.train));
+        let mut tree = serde_json::parse(&model.to_json()).unwrap();
+        add_gradient_keys(&mut tree);
+        let old = serde_json::to_string(&tree).unwrap();
+        assert!(old.contains("\"gw\"") && old.contains("\"gb\""));
+        let back = QppNet::from_json(&old).unwrap();
+        assert_eq!(back.fingerprint(), model.fingerprint());
+        let held_out = ds.select(&split.test);
+        let bits = |m: &QppNet| -> Vec<u64> {
+            m.predict_batch(&held_out).iter().map(|v| v.to_bits()).collect()
+        };
+        assert!(bits(&back) == bits(&model), "old-format checkpoint predicts differently");
+        assert!(back.to_json() == model.to_json(), "the gradients were not dropped");
+    }
+
+    /// A warm start from a reloaded checkpoint (no gradient arrays) fine-
+    /// tunes to the same bits as one from the in-memory model (holding
+    /// its last gradients): the trainer sizes empty accumulators on first
+    /// write and overwrites stale ones.
+    #[test]
+    fn warm_start_from_reloaded_checkpoint_fine_tunes_bit_equal() {
+        let ds = dataset();
+        let train: Vec<&Plan> = ds.plans.iter().take(30).collect();
+        let tune: Vec<&Plan> = ds.plans.iter().skip(30).take(20).collect();
+        let mut src = QppNet::new(fast(4), &ds.catalog);
+        src.fit(&train);
+        let reloaded = QppNet::from_json(&src.to_json()).unwrap();
+        let fine_tune = |from: &QppNet| {
+            let mut dst = QppNet::new(fast(3), &ds.catalog);
+            dst.warm_start_from(from);
+            dst.fit(&tune);
+            dst.to_json()
+        };
+        let (in_memory, from_disk) = (fine_tune(&src), fine_tune(&reloaded));
+        assert!(in_memory == from_disk, "fine-tuned weights differ");
+        assert!(in_memory != src.to_json(), "fine-tuning moved nothing");
+    }
+
     #[test]
     fn warm_start_transfers_behaviour_and_allows_fine_tuning() {
         let ds = dataset();

@@ -67,7 +67,7 @@
 //! lanes, in debug and release.
 
 use crate::config::TargetCodec;
-use crate::infer::{clamp_plan_envelope, run_levels_seq, Step, STEP_CHUNK_ROWS};
+use crate::infer::{clamp_plan_envelope, run_steps_seq, Step, STEP_CHUNK_ROWS};
 use crate::lower::{Lowering, NodeContentKey, SubtreeKey};
 use qpp_plansim::util::Fnv1a;
 use crate::tree::RatioCaps;
@@ -420,10 +420,16 @@ pub struct ProgramBuilder<'m> {
     /// a new member, cleared once a run has computed the chunk (and when
     /// the chunk empties). A run executes only stale chunks.
     stale: Vec<bool>,
-    /// Cached schedule (step ids per height level), rebuilt lazily after
+    /// Cached schedule: every live chunk id in execution order (the
+    /// height levels ascending, flattened), rebuilt in place after
     /// topology changes.
-    levels: Vec<Vec<u32>>,
+    schedule: Vec<u32>,
     schedule_dirty: bool,
+    /// The stale part of `schedule` a run executes (reused scratch).
+    todo: Vec<u32>,
+    /// Per-position predictions of the plan being decoded (reused
+    /// scratch, so a root predict allocates nothing once warm).
+    decoded: Vec<f64>,
     /// Cumulative work of [`ProgramBuilder::run`] (see [`ProgramStats`]).
     rows_run: u64,
     steps_run: u64,
@@ -485,8 +491,10 @@ impl<'m> ProgramBuilder<'m> {
             step_free: Vec::new(),
             wavefronts: BTreeMap::new(),
             stale: Vec::new(),
-            levels: Vec::new(),
+            schedule: Vec::new(),
             schedule_dirty: false,
+            todo: Vec::new(),
+            decoded: Vec::new(),
             rows_run: 0,
             steps_run: 0,
             nodes: Vec::new(),
@@ -692,24 +700,23 @@ impl<'m> ProgramBuilder<'m> {
     /// with ratio caps (i.e. the model's configured policy).
     pub fn predict_root(&mut self, id: PlanId) -> f64 {
         self.run();
-        let preds = self.decode_plan(id);
-        *preds.last().expect("plans are non-empty")
+        self.decode_root(id)
     }
 
     /// Root predictions for every resident plan, in admission order.
     pub fn predict_roots(&mut self) -> Vec<f64> {
         self.run();
         let ids: Vec<u64> = self.plans.keys().copied().collect();
-        ids.into_iter()
-            .map(|id| *self.decode_plan(PlanId(id)).last().expect("plans are non-empty"))
-            .collect()
+        ids.into_iter().map(|id| self.decode_root(PlanId(id))).collect()
     }
 
     /// Per-operator latency predictions (post order, milliseconds) for
     /// one resident plan.
     pub fn predict_all(&mut self, id: PlanId) -> Vec<f64> {
         self.run();
-        self.decode_plan(id)
+        let mut preds = Vec::new();
+        self.decode_plan_into(id, &mut preds);
+        preds
     }
 
     /// One-shot root prediction of a non-resident plan: a whole-plan memo
@@ -814,15 +821,12 @@ impl<'m> ProgramBuilder<'m> {
             return;
         }
         self.ensure_schedule();
-        let todo: Vec<Vec<u32>> = self
-            .levels
-            .iter()
-            .map(|level| level.iter().copied().filter(|&s| self.stale[s as usize]).collect())
-            .filter(|level: &Vec<u32>| !level.is_empty())
-            .collect();
-        run_levels_seq(
+        let stale = &self.stale;
+        self.todo.clear();
+        self.todo.extend(self.schedule.iter().copied().filter(|&s| stale[s as usize]));
+        run_steps_seq(
             &mut self.steps,
-            &todo,
+            self.todo.iter().copied(),
             &self.packed,
             &mut self.outputs,
             &mut self.pool,
@@ -831,7 +835,7 @@ impl<'m> ProgramBuilder<'m> {
         // Cleared only now: a run that panicked above leaves its chunks
         // stale, so the next predict recomputes rather than decoding
         // half-written rows.
-        for &s in todo.iter().flatten() {
+        for &s in &self.todo {
             self.stale[s as usize] = false;
             self.steps_run += 1;
             self.rows_run += self.steps[s as usize].rows.len() as u64;
@@ -839,34 +843,40 @@ impl<'m> ProgramBuilder<'m> {
     }
 
     /// Decodes (and, under caps, envelope-clamps) one resident plan's
-    /// per-position predictions from the freshly-run output buffer.
-    fn decode_plan(&self, id: PlanId) -> Vec<f64> {
+    /// per-position predictions from the freshly-run output buffer into
+    /// `preds`.
+    fn decode_plan_into(&self, id: PlanId, preds: &mut Vec<f64>) {
         let plan = self
             .plans
             .get(&id.0)
             .unwrap_or_else(|| panic!("plan {id:?} is not resident (already retired?)"));
-        let mut preds: Vec<f64> =
-            plan.rows.iter().map(|&r| self.codec.decode(self.outputs.get(r, 0))).collect();
+        preds.clear();
+        preds.extend(plan.rows.iter().map(|&r| self.codec.decode(self.outputs.get(r, 0))));
         if let Some(caps) = self.caps {
-            clamp_plan_envelope(&mut preds, &plan.lowering, &plan.kinds, caps);
+            clamp_plan_envelope(preds, &plan.lowering, &plan.kinds, caps);
         }
-        preds
     }
 
-    /// Rebuilds the cached level schedule from the wavefront map (heights
-    /// ascending, families in stable order, chunks in insertion order).
+    /// The decoded root prediction of one resident plan, decoded through
+    /// the builder's scratch.
+    fn decode_root(&mut self, id: PlanId) -> f64 {
+        let mut preds = std::mem::take(&mut self.decoded);
+        self.decode_plan_into(id, &mut preds);
+        let root = *preds.last().expect("plans are non-empty");
+        self.decoded = preds;
+        root
+    }
+
+    /// Rebuilds the cached schedule from the wavefront map (heights
+    /// ascending, families in stable order, chunks in insertion order),
+    /// in place.
     fn ensure_schedule(&mut self) {
         if !self.schedule_dirty {
             return;
         }
-        self.levels.clear();
-        let mut cur = None;
-        for (&(h, _), ids) in &self.wavefronts {
-            if cur != Some(h) {
-                self.levels.push(Vec::new());
-                cur = Some(h);
-            }
-            self.levels.last_mut().expect("level opened above").extend_from_slice(ids);
+        self.schedule.clear();
+        for ids in self.wavefronts.values() {
+            self.schedule.extend_from_slice(ids);
         }
         self.schedule_dirty = false;
     }
@@ -1369,12 +1379,8 @@ impl<'m> ShardedStream<'m> {
     /// match single-builder execution exactly (see the type docs).
     pub fn predict_roots_threaded(&mut self, threads: usize) -> Vec<f64> {
         self.run_shards(threads);
-        self.routes
-            .values()
-            .map(|&(shard, inner)| {
-                *self.shards[shard].decode_plan(inner).last().expect("plans are non-empty")
-            })
-            .collect()
+        let shards = &mut self.shards;
+        self.routes.values().map(|&(shard, inner)| shards[shard].decode_root(inner)).collect()
     }
 
     /// Per-shard statistics, in shard order (the CLI prints one line per
@@ -1902,6 +1908,35 @@ mod tests {
             0,
             "warm one-shot predict must not allocate"
         );
+    }
+
+    /// A memo miss runs and decodes without the allocator: on a warm
+    /// builder, a newly admitted plan's `predict_root` (schedule rebuild,
+    /// stale filter, run, decode) makes no allocation.
+    #[test]
+    fn warm_miss_run_and_decode_are_allocation_free() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH);
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let plans = lower_all(&roots);
+        let mut builder = ProgramBuilder::new(&fz, &wh, &units, &codec, None);
+        // Warm the schedule, the decode scratch and the pool to every
+        // plan's shape beside one resident plan.
+        let resident = builder.admit_plan(&plans[0]);
+        for sp in &plans {
+            builder.predict_oneshot(sp);
+        }
+        for sp in &plans[1..] {
+            // Retired plans leave nothing to share, so the admission
+            // places fresh rows; `predict_root` never probes the memo.
+            let id = builder.admit_plan(sp);
+            let before = crate::alloc::thread_alloc_count();
+            let ms = builder.predict_root(id);
+            let allocs = crate::alloc::thread_alloc_count() - before;
+            assert_eq!(allocs, 0, "warm miss run + decode allocated");
+            assert!(ms.is_finite());
+            builder.retire(id);
+        }
+        assert!(builder.predict_root(resident).is_finite());
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::metrics::Metrics;
 use crate::train_program::ProgramSession;
 use crate::tree::{equivalence_classes, RatioCaps, Supervision, TreeBatch};
 use crate::unit::UnitSet;
-use qpp_nn::{Adam, Optimizer, Sgd};
+use qpp_nn::{Adam, OptState, Optimizer, Sgd};
 use qpp_plansim::features::{Featurizer, Whitener};
 use qpp_plansim::plan::Plan;
 use rand::seq::SliceRandom;
@@ -160,6 +160,8 @@ impl Trainer<'_> {
             OptimizerKind::Sgd => Box::new(Sgd::new(cfg.learning_rate, cfg.momentum)),
             OptimizerKind::Adam => Box::new(Adam::new(cfg.learning_rate)),
         };
+        // One slot per dense layer, shared by both engines' updates.
+        let mut opt_state = OptState::new();
 
         // The wavefront tape expresses exactly the both-optimizations
         // configuration (whole-batch vectorization + one shared bottom-up
@@ -189,9 +191,10 @@ impl Trainer<'_> {
             let mut epoch_ops = 0usize;
 
             for chunk in order.chunks(cfg.batch_size.max(1)) {
+                let (opt, state) = (opt.as_mut(), &mut opt_state);
                 let out = match &mut session {
-                    Some(session) => self.train_batch_program(units, opt.as_mut(), session, chunk),
-                    None => self.train_batch(units, opt.as_mut(), plans, chunk),
+                    Some(session) => self.train_batch_program(units, opt, state, session, chunk),
+                    None => self.train_batch(units, opt, state, plans, chunk),
                 };
                 epoch_sse += out.sse;
                 epoch_ops += out.ops;
@@ -254,26 +257,28 @@ impl Trainer<'_> {
     /// out as one lane per thread: one recording forward, the
     /// all-operator loss and one reverse sweep per lane — each gemm
     /// spanning every plan of its lane's wavefront — then the lanes'
-    /// gradients folded into `units` and applied.
+    /// gradients folded into `units` and applied, each worker updating
+    /// the layers it folded.
     fn train_batch_program(
         &self,
         units: &mut UnitSet,
         opt: &mut dyn Optimizer,
+        state: &mut OptState,
         session: &mut ProgramSession,
         chunk: &[usize],
     ) -> BatchOutcome {
         let cfg = self.config;
         let tape = session.tape_for(chunk, units, cfg.threads);
-        // Unbiased recombination (§5.1.1) and weight decay (which also
+        // Unbiased recombination (§5.1.1), weight decay (which also
         // pulls never-activated one-hot columns toward zero — essential
-        // for unseen-template generalization) are fused into the step's
-        // gradient fold: `units` receives the summed SSE gradients
-        // normalized by the batch's supervised operator count, plus
-        // `weight_decay · w`.
-        let (sse, ops) = tape.train_step(units, cfg.threads, cfg.weight_decay);
-        let steps = tape.num_steps();
-        units.apply_grads(opt);
-        BatchOutcome { sse, ops, unit_evals: 0, steps }
+        // for unseen-template generalization) and the optimizer update
+        // are fused into the step's gradient fold: `units` receives the
+        // summed SSE gradients normalized by the batch's supervised
+        // operator count, plus `weight_decay · w`, and steps by them.
+        let update = Some((&*opt, state));
+        let (sse, ops) = tape.train_step(units, cfg.threads, cfg.weight_decay, update);
+        opt.end_step();
+        BatchOutcome { sse, ops, unit_evals: 0, steps: tape.num_steps() }
     }
 
     /// One gradient step over one batch through the per-class oracle
@@ -282,6 +287,7 @@ impl Trainer<'_> {
         &self,
         units: &mut UnitSet,
         opt: &mut dyn Optimizer,
+        state: &mut OptState,
         plans: &[&Plan],
         chunk: &[usize],
     ) -> BatchOutcome {
@@ -354,7 +360,7 @@ impl Trainer<'_> {
         // toward zero — essential for unseen-template generalization).
         units.scale_grad(1.0 / total_ops.max(1) as f32);
         units.add_weight_decay(cfg.weight_decay);
-        units.apply_grads(opt);
+        units.apply_grads(opt, state);
         BatchOutcome { sse: total_sse, ops: total_ops, unit_evals: total_evals, steps: 0 }
     }
 

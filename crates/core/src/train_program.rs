@@ -48,7 +48,9 @@
 //! trainer step, in three phases with a barrier between each: every
 //! worker repacks its share of the layers' panels, sweeps its lanes, and
 //! folds the lanes' gradient sets, in lane order, into its share of the
-//! unit set (shares are contiguous and balanced by parameter count).
+//! unit set, then applies the optimizer update to that share against the
+//! layers' own state slots (shares are contiguous and balanced by
+//! parameter count).
 //! Workers reach lanes and panels through uncontended locks, so the tape
 //! carries no `unsafe`.
 //!
@@ -63,7 +65,8 @@ use crate::infer::{balanced_cuts, gather_child_columns, Step, WavefrontBuilder};
 use crate::lower::{lower, Lowering};
 use crate::unit::UnitSet;
 use qpp_nn::{
-    activation_backward_inplace, BufferPool, Dense, Executor, Matrix, PackedDense, PackedWeights,
+    activation_backward_inplace, BufferPool, Dense, Executor, LayerState, Matrix, OptState,
+    Optimizer, PackedDense, PackedWeights,
 };
 use qpp_plansim::features::{Featurizer, Whitener};
 use qpp_plansim::operators::OpKind;
@@ -463,22 +466,25 @@ impl PanelView<'_> {
 
 /// What one dispatch does around the lane sweeps.
 #[derive(Clone, Copy)]
-enum Fold {
+enum Fold<'a> {
     /// Fold `g += Σ lanes` — the public backward's accumulate contract.
     Accumulate,
     /// The trainer's whole gradient step: first refresh the panels from
     /// the unit set (the optimizer moved the weights), then, after the
     /// sweeps, fold `g = (Σ lanes)·scale` and `gw += decay·w` — the
-    /// trainer's normalization and weight decay.
-    Step { scale: f32, decay: f32 },
+    /// trainer's normalization and weight decay — and, with an `opt`,
+    /// apply its update to the layer right away.
+    Step { scale: f32, decay: f32, opt: Option<&'a dyn Optimizer> },
 }
 
 /// One layer of the unit set, handed to the worker that folds it (and,
-/// for [`Fold::Step`], repacks its panels).
+/// for [`Fold::Step`], repacks its panels and updates it).
 struct FoldItem<'a> {
     kind: OpKind,
     layer: usize,
     dst: &'a mut Dense,
+    /// The layer's optimizer slot, when the step applies an update.
+    slot: Option<&'a mut LayerState>,
 }
 
 impl FoldItem<'_> {
@@ -492,6 +498,7 @@ impl FoldItem<'_> {
         parts: &mut Vec<&'l PackedWeights>,
     ) {
         let (kind, layer, dst) = (self.kind.index(), self.layer, &mut *self.dst);
+        dst.ensure_grads();
         match how {
             Fold::Accumulate => {
                 for lane in lanes {
@@ -500,7 +507,7 @@ impl FoldItem<'_> {
                     add_into(&mut dst.gb, gb);
                 }
             }
-            Fold::Step { scale, decay } => {
+            Fold::Step { scale, decay, opt } => {
                 parts.clear();
                 parts.extend(lanes.iter().map(|lane| &lane.grads.grads[kind][layer].0));
                 PackedWeights::sum_unpacked_into(parts, &mut dst.gw);
@@ -514,6 +521,12 @@ impl FoldItem<'_> {
                     for (g, &w) in dst.gw.as_mut_slice().iter_mut().zip(dst.w.as_slice()) {
                         *g += decay * w;
                     }
+                }
+                // The optimizer update is elementwise over this layer
+                // alone: the same arithmetic as the serial
+                // `UnitSet::apply_grads`, on this worker's share.
+                if let (Some(opt), Some(slot)) = (opt, self.slot.as_deref_mut()) {
+                    dst.apply_grads(opt, slot);
                 }
             }
         }
@@ -532,7 +545,9 @@ fn add_into(dst: &mut [f32], src: &[f32]) {
 /// each worker also owns a contiguous, parameter-balanced share of the
 /// unit set's layers: for [`Fold::Step`] it first repacks its share's
 /// panels, and after every lane is swept it folds the lanes' gradients
-/// into its share. A barrier separates the phases.
+/// into its share and, given optimizer state (one slot per dense layer
+/// id, as [`UnitSet::apply_grads`] numbers them), updates it. A barrier
+/// separates the phases.
 ///
 /// A panic in one phase must not strand the other workers at a barrier:
 /// it is caught, a poison flag skips every later phase, and the payload
@@ -542,18 +557,23 @@ fn run_lanes(
     panels: &Panels,
     threads: usize,
     sweep: &(dyn Fn(&mut Lane, &PanelView) + Sync),
-    fold: Option<(&mut UnitSet, Fold)>,
+    fold: Option<(&mut UnitSet, Fold, Option<&mut OptState>)>,
 ) {
     let workers = threads.min(lanes.len()).max(1);
     let (items, how) = match fold {
-        Some((units, how)) => {
+        Some((units, how, state)) => {
+            let mut slots = state.map(|s| s.layers_mut(units.num_layers()).iter_mut());
             let items: Vec<FoldItem> = units
                 .units_mut()
                 .flat_map(|(kind, mlp)| {
                     mlp.layers_mut()
                         .iter_mut()
                         .enumerate()
-                        .map(move |(layer, dst)| FoldItem { kind, layer, dst })
+                        .map(move |(layer, dst)| (kind, layer, dst))
+                })
+                .map(|(kind, layer, dst)| {
+                    let slot = slots.as_mut().and_then(Iterator::next);
+                    FoldItem { kind, layer, dst, slot }
                 })
                 .collect();
             (items, Some(how))
@@ -867,31 +887,38 @@ impl ProgramTape {
     pub fn backward_threaded(&mut self, units: &mut UnitSet, threads: usize) {
         self.check_units_width(units);
         let sweep = |lane: &mut Lane, panels: &PanelView| lane.backward(panels);
-        run_lanes(&self.lanes, &self.panels, threads, &sweep, Some((units, Fold::Accumulate)));
+        let fold = Some((units, Fold::Accumulate, None));
+        run_lanes(&self.lanes, &self.panels, threads, &sweep, fold);
     }
 
     /// One whole gradient step in one executor dispatch: forward, loss and
     /// backward per lane, then the fold into `units` — overwriting their
     /// gradients with the batch's summed-SSE gradients normalized by its
     /// operator count (§5.1.1's unbiased recombination) plus `decay ·
-    /// w` weight decay on weights (not biases). The caller applies them.
+    /// w` weight decay on weights (not biases). With an `update`, each
+    /// worker then applies the optimizer to the layers it folded, against
+    /// their slots in the state (bitwise what [`UnitSet::apply_grads`]
+    /// does over the same gradients); the caller ends the optimizer step.
+    /// Without one, the gradients are left for the caller to apply.
     /// Returns `(sse, supervised row count)` like [`ProgramTape::loss`].
     pub(crate) fn train_step(
         &mut self,
         units: &mut UnitSet,
         threads: usize,
         decay: f32,
+        update: Option<(&dyn Optimizer, &mut OptState)>,
     ) -> (f64, usize) {
         self.check_units_width(units);
         self.ensure_lanes(units, threads);
         let ops = self.num_nodes;
-        let how = Fold::Step { scale: 1.0 / ops.max(1) as f32, decay };
+        let (opt, state) = update.unzip();
+        let how = Fold::Step { scale: 1.0 / ops.max(1) as f32, decay, opt };
         let sweep = |lane: &mut Lane, panels: &PanelView| {
             lane.forward(panels);
             lane.loss();
             lane.backward(panels);
         };
-        run_lanes(&self.lanes, &self.panels, threads, &sweep, Some((units, how)));
+        run_lanes(&self.lanes, &self.panels, threads, &sweep, Some((units, how, state)));
         let sse = self.lanes.iter().map(|slot| read_lane(slot).sse).sum();
         (sse, ops)
     }
@@ -1225,15 +1252,63 @@ mod tests {
 
         // Stale gradients must be overwritten, not summed into.
         let mut fused = units.clone();
+        fused.zero_grad();
         for kind in OpKind::ALL {
             for layer in fused.unit_mut(kind).layers_mut() {
                 layer.gw.map_inplace(|_| 9.0);
                 layer.gb.fill(9.0);
             }
         }
-        let (fused_sse, fused_ops) = tape.train_step(&mut fused, 2, decay);
+        let (fused_sse, fused_ops) = tape.train_step(&mut fused, 2, decay, None);
         assert_eq!((fused_sse.to_bits(), fused_ops), (sse.to_bits(), ops));
         assert_grads_bitwise(&grads_snapshot(&fused), &grads_snapshot(&separate), "fused step");
+    }
+
+    /// Every weight and bias of a unit set, as bits.
+    fn param_bits(units: &UnitSet) -> Vec<u32> {
+        OpKind::ALL
+            .iter()
+            .flat_map(|&k| units.unit(k).layers())
+            .flat_map(|l| l.w.as_slice().iter().chain(&l.b))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// The optimizer update applied inside the fold, by each worker to
+    /// the layers it folded, is bitwise the serial `UnitSet::apply_grads`
+    /// over the same gradients — step after step, so the per-layer state
+    /// (momentum, Adam's moments and step count) carries over the same.
+    #[test]
+    fn optimizer_fused_into_the_fold_matches_the_serial_update() {
+        let (ds, fz, wh, units, codec) = setup(Workload::TpcH, 18, 37);
+        let roots: Vec<&PlanNode> = ds.plans.iter().map(|p| &p.root).collect();
+        let decay = 1e-3;
+        type MakeOpt = fn() -> Box<dyn Optimizer>;
+        let optimizers: [(&str, MakeOpt); 2] = [
+            ("adam", || Box::new(qpp_nn::Adam::new(1e-3))),
+            ("sgd", || Box::new(qpp_nn::Sgd::new(1e-3, 0.9))),
+        ];
+        for (name, make) in optimizers {
+            for threads in [1usize, 2] {
+                let mut tape = ProgramTape::compile(&fz, &wh, &codec, &units, &roots);
+                let (mut fused, mut serial) = (units.clone(), units.clone());
+                let (mut fused_opt, mut serial_opt) = (make(), make());
+                let (mut fused_state, mut serial_state) = (OptState::new(), OptState::new());
+                for step in 0..3 {
+                    let what = format!("{name}, {threads} threads, step {step}");
+                    let update = Some((&*fused_opt, &mut fused_state));
+                    let a = tape.train_step(&mut fused, threads, decay, update);
+                    fused_opt.end_step();
+                    let b = tape.train_step(&mut serial, threads, decay, None);
+                    serial.apply_grads(serial_opt.as_mut(), &mut serial_state);
+                    assert_eq!((a.0.to_bits(), a.1), (b.0.to_bits(), b.1), "{what}: loss");
+                    let grads = grads_snapshot(&fused);
+                    assert_grads_bitwise(&grads, &grads_snapshot(&serial), &what);
+                    assert!(param_bits(&fused) == param_bits(&serial), "{what}: weights");
+                }
+                assert!(param_bits(&fused) != param_bits(&units), "{name}: the steps moved nothing");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! family's arity (2 for joins, 1 for unary operators, 0 for scans).
 
 use crate::config::QppConfig;
-use qpp_nn::{Activation, Init, Mlp, Optimizer, PackedMlp};
+use qpp_nn::{Activation, Init, Mlp, OptState, Optimizer, PackedMlp};
 use qpp_plansim::features::Featurizer;
 use qpp_plansim::operators::OpKind;
 use rand::Rng;
@@ -103,13 +103,23 @@ impl UnitSet {
         }
     }
 
-    /// Applies accumulated gradients via `opt`.
-    ///
-    /// Each unit gets a disjoint key namespace so optimizer state
-    /// (velocities, moments) never collides across units.
-    pub fn apply_grads(&mut self, opt: &mut dyn Optimizer) {
-        for (i, u) in self.units.iter_mut().enumerate() {
-            u.apply_grads(opt, i * 1024);
+    /// Number of dense layers across all units: the size of the
+    /// optimizer state table ([`UnitSet::apply_grads`]).
+    pub fn num_layers(&self) -> usize {
+        self.units.iter().map(Mlp::num_layers).sum()
+    }
+
+    /// Applies accumulated gradients via `opt`, then ends the optimizer
+    /// step. Every dense layer has its own slot in `state`, indexed by
+    /// its dense layer id: the units' layers in [`OpKind::ALL`] order —
+    /// the ids the wavefront trainer's fused update uses, so the serial
+    /// and the fused update keep the same state.
+    pub fn apply_grads(&mut self, opt: &mut dyn Optimizer, state: &mut OptState) {
+        let mut slots = state.layers_mut(self.num_layers());
+        for u in &mut self.units {
+            let (mine, rest) = std::mem::take(&mut slots).split_at_mut(u.num_layers());
+            u.apply_grads(opt, mine);
+            slots = rest;
         }
         opt.end_step();
     }

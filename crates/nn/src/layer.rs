@@ -7,10 +7,17 @@
 use crate::activation::Activation;
 use crate::init::Init;
 use crate::matrix::Matrix;
+use crate::optim::{LayerState, Optimizer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 /// A dense layer `y = act(x·W + b)` with gradient accumulators.
+///
+/// The accumulators are training state, not parameters: serialization
+/// leaves them out (`#[serde(skip)]`), and a new or deserialized layer
+/// holds them empty until something writes a gradient, which sizes them
+/// first ([`Dense::ensure_grads`]). A model that only serves never
+/// allocates them.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Dense {
     /// Weights, `in_dim × out_dim`.
@@ -19,9 +26,11 @@ pub struct Dense {
     pub b: Vec<f32>,
     /// Elementwise nonlinearity.
     pub act: Activation,
-    /// Accumulated weight gradient (same shape as `w`).
+    /// Accumulated weight gradient: empty, or the shape of `w`.
+    #[serde(skip)]
     pub gw: Matrix,
-    /// Accumulated bias gradient (same length as `b`).
+    /// Accumulated bias gradient: empty, or the length of `b`.
+    #[serde(skip)]
     pub gb: Vec<f32>,
 }
 
@@ -32,8 +41,20 @@ impl Dense {
             w: init.matrix(in_dim, out_dim, rng),
             b: vec![0.0; out_dim],
             act,
-            gw: Matrix::zeros(in_dim, out_dim),
-            gb: vec![0.0; out_dim],
+            gw: Matrix::default(),
+            gb: Vec::new(),
+        }
+    }
+
+    /// Sizes the gradient accumulators to the parameters' shapes, zeroed,
+    /// unless they already are — every gradient writer calls this first,
+    /// so only a layer that trains allocates them.
+    pub fn ensure_grads(&mut self) {
+        if (self.gw.rows(), self.gw.cols()) != (self.w.rows(), self.w.cols()) {
+            self.gw = Matrix::zeros(self.w.rows(), self.w.cols());
+        }
+        if self.gb.len() != self.b.len() {
+            self.gb = vec![0.0; self.b.len()];
         }
     }
 
@@ -95,13 +116,15 @@ impl Dense {
             }
         }
         // dW += Xᵀ·dZ ; db += colsum(dZ) ; dX = dZ·Wᵀ
+        self.ensure_grads();
         x.matmul_at_b_into(&dz, &mut self.gw);
         dz.col_sum_into(&mut self.gb);
         dz.matmul_a_bt(&self.w)
     }
 
-    /// Clears accumulated gradients.
+    /// Clears accumulated gradients (sizing them first if empty).
     pub fn zero_grad(&mut self) {
+        self.ensure_grads();
         self.gw.fill_zero();
         self.gb.fill(0.0);
     }
@@ -112,6 +135,15 @@ impl Dense {
         for g in &mut self.gb {
             *g *= s;
         }
+    }
+
+    /// Applies the accumulated gradients through `opt`: one elementwise
+    /// update of the weights and one of the biases, against this layer's
+    /// optimizer slot `state`.
+    pub fn apply_grads(&mut self, opt: &dyn Optimizer, state: &mut LayerState) {
+        self.ensure_grads();
+        opt.update_matrix(&mut state.w, &mut self.w, &self.gw);
+        opt.update(&mut state.b, &mut self.b, &self.gb);
     }
 }
 

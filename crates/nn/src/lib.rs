@@ -24,7 +24,8 @@
 //!   gradients (including the *input* gradient, which plan-structured
 //!   networks must route into child units).
 //! * [`Sgd`] (momentum, the paper's optimizer) and [`Adam`] (evaluated as the
-//!   paper's §8 future-work extension) behind the [`Optimizer`] trait.
+//!   paper's §8 future-work extension) behind the [`Optimizer`] trait, with
+//!   their per-layer state held apart in an [`OptState`].
 //! * [`loss`] — L2/MSE and absolute-error losses with gradients.
 //! * [`gradcheck`] — central-difference gradient checking used by the test
 //!   suite to certify every backward pass.
@@ -33,7 +34,7 @@
 //! experiments are reproducible bit-for-bit.
 //!
 //! ```
-//! use qpp_nn::{Activation, Init, Matrix, Mlp, Sgd, loss};
+//! use qpp_nn::{Activation, Init, Matrix, Mlp, OptState, Sgd, loss};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -42,13 +43,14 @@
 //!                        Init::He, &mut rng);
 //! let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
 //! let target = Matrix::from_rows(&[&[1.0], &[-1.0]]);
-//! let mut opt = Sgd::new(0.05, 0.9);
+//! let opt = Sgd::new(0.05, 0.9);
+//! let mut state = OptState::new();
 //! for _ in 0..200 {
 //!     let cache = mlp.forward_cached(&x);
 //!     let (_, dout) = loss::mse(cache.output(), &target);
 //!     mlp.zero_grad();
 //!     mlp.backward(&cache, &dout);
-//!     mlp.apply_grads(&mut opt, 0);
+//!     mlp.apply_grads(&opt, state.layers_mut(mlp.num_layers()));
 //! }
 //! let pred = mlp.forward(&x);
 //! assert!((pred.get(0, 0) - 1.0).abs() < 0.1);
@@ -76,7 +78,7 @@ pub use layer::Dense;
 pub use lstm::{LstmNodeCache, TreeLstmCell};
 pub use matrix::Matrix;
 pub use mlp::{Mlp, MlpCache};
-pub use optim::{Adam, Optimizer, Sgd};
+pub use optim::{Adam, LayerState, Moments, OptState, Optimizer, Sgd};
 pub use packed::{PackedBias, PackedDense, PackedMlp, PackedWeights};
 pub use pool::{BufferPool, Executor, ExecutorStats};
 pub use tier::KernelTier;

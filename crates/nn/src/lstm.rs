@@ -28,7 +28,7 @@
 
 use crate::init::Init;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
+use crate::optim::{Moments, Optimizer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -102,10 +102,10 @@ impl Gate {
         }
     }
 
-    fn apply_grads(&mut self, opt: &mut dyn Optimizer, key: usize) {
-        opt.step_matrix(key, &mut self.w, &self.gw);
-        opt.step_matrix(key + 1, &mut self.u, &self.gu);
-        opt.step_vec(key + 2, &mut self.b, &self.gb);
+    fn apply_grads(&mut self, opt: &dyn Optimizer, state: &mut [Moments]) {
+        opt.update_matrix(&mut state[0], &mut self.w, &self.gw);
+        opt.update_matrix(&mut state[1], &mut self.u, &self.gu);
+        opt.update(&mut state[2], &mut self.b, &self.gb);
     }
 }
 
@@ -327,12 +327,18 @@ impl TreeLstmCell {
 
     /// Applies accumulated gradients through `opt`.
     ///
-    /// The cell consumes 12 optimizer keys starting at `key_base`.
-    pub fn apply_grads(&mut self, opt: &mut dyn Optimizer, key_base: usize) {
-        self.input_gate.apply_grads(opt, key_base);
-        self.forget_gate.apply_grads(opt, key_base + 3);
-        self.output_gate.apply_grads(opt, key_base + 6);
-        self.candidate.apply_grads(opt, key_base + 9);
+    /// `state` holds one optimizer slot per parameter tensor: `(W, U, b)`
+    /// for each gate, gates in [`TreeLstmCell::gates_mut`] order.
+    pub fn apply_grads(&mut self, opt: &dyn Optimizer, state: &mut [Moments; 12]) {
+        let gates = [
+            &mut self.input_gate,
+            &mut self.forget_gate,
+            &mut self.output_gate,
+            &mut self.candidate,
+        ];
+        for (gate, slots) in gates.into_iter().zip(state.chunks_mut(3)) {
+            gate.apply_grads(opt, slots);
+        }
     }
 
     /// Borrows the gates as `[input, forget, output, candidate]` (used by
@@ -543,7 +549,8 @@ mod tests {
     #[test]
     fn training_reduces_loss_on_toy_tree_task() {
         let mut c = cell(2, 8, 6);
-        let mut opt = Sgd::new(0.05, 0.9);
+        let opt = Sgd::new(0.05, 0.9);
+        let mut state: [Moments; 12] = Default::default();
         // Task: root target = sum of leaf inputs. Readout = mean of h.
         let cases: Vec<(Matrix, Matrix, f32)> = (0..6)
             .map(|k| {
@@ -592,7 +599,7 @@ mod tests {
                 c.backward(&l1, &grads[0].0, &grads[0].1);
                 c.backward(&l2, &grads[1].0, &grads[1].1);
             }
-            c.apply_grads(&mut opt, 0);
+            c.apply_grads(&opt, &mut state);
         }
         let final_ = loss_total(&c);
         assert!(final_ < initial * 0.2, "loss {initial} -> {final_}");

@@ -26,7 +26,9 @@ use serde::{Deserialize, Serialize};
 ///   `gather_rows*`, `scatter_rows_into`, `add_scaled`, …) `assert!` their
 ///   shape preconditions unconditionally, with messages that name both
 ///   operand shapes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// `Default` is the empty `0 × 0` matrix.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -11,7 +11,7 @@ use crate::activation::Activation;
 use crate::init::Init;
 use crate::layer::Dense;
 use crate::matrix::Matrix;
-use crate::optim::Optimizer;
+use crate::optim::{LayerState, Optimizer};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -150,15 +150,15 @@ impl Mlp {
         }
     }
 
-    /// Applies accumulated gradients through `opt`.
+    /// Applies accumulated gradients through `opt`, layer `i` against
+    /// optimizer slot `state[i]` (see [`crate::OptState::layers_mut`]).
     ///
-    /// `key_base` namespaces this MLP's parameters inside the optimizer's
-    /// state (each layer consumes two keys); pass distinct bases for
-    /// distinct units.
-    pub fn apply_grads(&mut self, opt: &mut dyn Optimizer, key_base: usize) {
-        for (i, l) in self.layers.iter_mut().enumerate() {
-            opt.step_matrix(key_base + 2 * i, &mut l.w, &l.gw);
-            opt.step_vec(key_base + 2 * i + 1, &mut l.b, &l.gb);
+    /// # Panics
+    /// Panics if `state` has fewer slots than the MLP has layers.
+    pub fn apply_grads(&mut self, opt: &dyn Optimizer, state: &mut [LayerState]) {
+        assert!(state.len() >= self.layers.len(), "one optimizer slot per layer");
+        for (l, slot) in self.layers.iter_mut().zip(state) {
+            l.apply_grads(opt, slot);
         }
     }
 
@@ -233,14 +233,15 @@ mod tests {
         let mut m = tiny_mlp(2);
         let x = Matrix::from_rows(&[&[0.0, 0.0, 1.0], &[0.0, 1.0, 0.0], &[1.0, 0.0, 0.0]]);
         let t = Matrix::from_rows(&[&[1.0, 0.0], &[0.0, 1.0], &[0.5, 0.5]]);
-        let mut opt = Sgd::new(0.05, 0.9);
+        let opt = Sgd::new(0.05, 0.9);
+        let mut state = crate::OptState::new();
         let (initial, _) = loss::mse(&m.forward(&x), &t);
         for _ in 0..300 {
             let cache = m.forward_cached(&x);
             let (_, d) = loss::mse(cache.output(), &t);
             m.zero_grad();
             m.backward(&cache, &d);
-            m.apply_grads(&mut opt, 0);
+            m.apply_grads(&opt, state.layers_mut(m.num_layers()));
         }
         let (final_, _) = loss::mse(&m.forward(&x), &t);
         assert!(final_ < initial * 0.05, "loss {initial} -> {final_}");
