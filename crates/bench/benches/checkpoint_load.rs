@@ -4,7 +4,7 @@
 //! `qpp serve` (and perfbench's daemon child) start by reading the JSON
 //! checkpoint `QppNet::to_json` wrote, rebuilding the model and
 //! registering it as a tenant. The rows time each step on its own, on a
-//! paper-tier model (5×128 units, d = 32; ~25 MB of JSON):
+//! paper-tier model (5×128 units, d = 32; ~13 MB of JSON, parameters only):
 //!
 //! * `parse` — `serde_json::parse`: JSON text to a `Value` tree;
 //! * `from_value` — the `Value` tree to a `QppNet` (the derive-generated
